@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-short bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke clean
+.PHONY: check vet build test race race-short bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
 
 check: vet build race bench-smoke
 
@@ -138,9 +138,10 @@ health-smoke:
 	rm -f health-smoke.json health-smoke.jsonl
 
 # Wire proof: the fleet across real process boundaries. Four legs (all
-# race-built): in-process baseline, cloud + 2 insitu-node processes over
-# TCP, the same through a lossy insitu-proxy, and a crash/resume of the
-# cloud process — every leg's stdout must be byte-identical.
+# race-built): in-process baseline, insitu-fleet -listen + 2 insitu-node
+# processes over TCP, the same through a lossy insitu-proxy, and a
+# crash/resume of the cloud process — every leg's stdout must be
+# byte-identical.
 wire-smoke:
 	./scripts/wire_smoke.sh
 
@@ -157,6 +158,15 @@ churn-smoke:
 # zero unhealthy. Scratch lives in a tmpdir; CI sets SCALE_SMOKE_WORK.
 scale-smoke:
 	./scripts/scale_smoke.sh
+
+# Refactoring proof: one SHA-256 over the stdout of both closed-loop
+# drivers (insitu-node for variants a-d with and without downlink
+# faults, then a faulty 3-node insitu-fleet) at GOMAXPROCS=1. A change
+# that must not move reports prints the same digest as its parent commit
+# on the same host: `scripts/loop_digest.sh <parent checkout>` digests
+# another tree with the same commands.
+loop-digest:
+	./scripts/loop_digest.sh
 
 clean:
 	rm -f trace-smoke.jsonl fleet-smoke.jsonl health-smoke.json health-smoke.jsonl bench-diff-fresh.json bench-fleet-fresh.json

@@ -28,16 +28,30 @@
 // the drift monitor (0 disables it — the EXPERIMENTS ablation knob) and
 // -admit-p99-slo adds a latency SLO.
 //
-// The same driver also runs across real process boundaries: see
-// cmd/insitu-cloud (the wire server) and insitu-node -connect (the
-// agent). For the same flags both deployments print identical stdout.
+// Wire deployment: with -listen ADDR the same round loop is the
+// standalone Cloud server, and its N nodes are real insitu-node
+// processes on the far side of TCP connections speaking the
+// internal/wire protocol:
+//
+//	insitu-fleet -listen 127.0.0.1:9433 -nodes 2 -rounds 24 &
+//	insitu-node -connect 127.0.0.1:9433 -node-id 0 &
+//	insitu-node -connect 127.0.0.1:9433 -node-id 1 &
+//
+// The server blocks until all -nodes agents have handshaken, then runs
+// the schedule exactly as it would in process: same flags, same
+// checkpoint format (-state-dir / -resume restore node state over the
+// wire), same health plane, and byte-identical stdout for the same
+// seeds — `make wire-smoke` diffs the two. Transport faults (drops,
+// corruption, delays — e.g. from insitu-proxy) are absorbed by CRC
+// framing, retransmission and idempotent commands; the *simulated*
+// LossyLink faults stay node-side so the reports match the in-process
+// run bit for bit.
 package main
 
 import (
 	"flag"
 	"os"
 
-	"insitu/internal/fleet"
 	"insitu/internal/fleetcli"
 )
 
@@ -45,7 +59,5 @@ func main() {
 	var o fleetcli.Options
 	o.AddFlags(flag.CommandLine)
 	flag.Parse()
-	os.Exit(o.Run("insitu-fleet", func(cfg fleet.Config) (*fleet.Fleet, error) {
-		return fleet.New(cfg), nil
-	}))
+	os.Exit(o.Run())
 }

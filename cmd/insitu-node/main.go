@@ -25,7 +25,7 @@
 //
 // Agent mode: -connect ADDR abandons the standalone simulation and
 // instead serves as one node of a wire-protocol fleet (see
-// cmd/insitu-cloud). The cloud pushes the node's whole configuration in
+// insitu-fleet -listen). The cloud pushes the node's whole configuration in
 // the Welcome handshake, so the simulation flags above are ignored:
 //
 //	insitu-node -connect 127.0.0.1:9433 -node-id 0

@@ -1,5 +1,5 @@
 // Command insitu-proxy is a lossy man-in-the-middle for the wire
-// protocol: put it between insitu-node and insitu-cloud to inject
+// protocol: put it between insitu-node and insitu-fleet -listen to inject
 // *real* transport faults — dropped frames, flipped payload bytes,
 // seeded delays — that the endpoints must absorb with CRC checks,
 // retransmission and idempotent command handling:
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9444", "address nodes dial")
-	target := flag.String("target", "127.0.0.1:9433", "the real insitu-cloud address")
+	target := flag.String("target", "127.0.0.1:9433", "the real insitu-fleet -listen address")
 	seed := flag.Uint64("seed", 1, "fault dice seed")
 	drop := flag.Float64("drop", 0, "per-frame drop probability")
 	corrupt := flag.Float64("corrupt", 0, "per-frame corruption probability")

@@ -84,20 +84,6 @@ func (m CostModel) PretrainCost(diagSpec models.NetSpec, samples, lockedConvs in
 	return m.trainCost(ops, samples, m.EpochsPerUpdate)
 }
 
-// AmortizedUpdateCost prices one node's share of a fleet-aggregated
-// incremental update: the server retrains ONCE on the samples pooled
-// from `nodes` uploaders, so each node is billed 1/nodes of that single
-// retrain instead of a retrain of its own. This is the Cloud-side
-// economy of scale the fleet experiments report — per-node update cost
-// falls as the fleet grows while per-node uplink cost stays flat.
-func (m CostModel) AmortizedUpdateCost(spec models.NetSpec, samples, lockedConvs, nodes int) Cost {
-	if nodes < 1 {
-		nodes = 1
-	}
-	c := m.UpdateCost(spec, samples, lockedConvs)
-	return Cost{Seconds: c.Seconds / float64(nodes), Joules: c.Joules / float64(nodes)}
-}
-
 // UpdateSpeedup returns how much faster variant-d style updates (err-only
 // data + weight sharing) are over variant-a style updates (all data, full
 // network) for one stage — the Fig. 25 speedup series.

@@ -2,35 +2,44 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"insitu/internal/ckpt"
-	"insitu/internal/dataset"
-	"insitu/internal/models"
-	"insitu/internal/netsim"
 )
 
 // Crash-safe persistence of the closed loop. Checkpoint serializes the
-// COMPLETE mutable state of a System — Cloud and node weights, the
-// replay pool, version counters, meter accumulators, thresholds,
-// optimizer momentum and every RNG position (data generator, jigsaw
-// sampler, replay sampler, dropout masks, fault dice) — so that Resume
-// can rebuild a System that continues the run bit-identically to one
-// that was never interrupted. The headline invariant, enforced by
-// internal/experiments' crash harness and `make crash-smoke`: kill the
-// process at any stage boundary, resume, and the final report is
-// byte-identical to an uninterrupted run's.
+// COMPLETE mutable state of a System — the loop position and environment
+// here, everything else through the two halves' own codecs
+// (cloud.Server.Save, Node.SaveState) — so that Resume can rebuild a
+// System that continues the run bit-identically to one that was never
+// interrupted. The headline invariant, enforced by internal/experiments'
+// crash harness and `make crash-smoke`: kill the process at any stage
+// boundary, resume, and the final report is byte-identical to an
+// uninterrupted run's.
 
-const ckptMagic = "ISCS0001"
+// ckptMagic 0002: the body became header + the halves' sections; the
+// bump makes a 0001 snapshot fail on its magic instead of mis-decoding.
+const ckptMagic = "ISCS0002"
 
 // ErrConfigMismatch is returned by Resume when the checkpoint was taken
 // under an incompatible configuration (different seed, variant, class
 // count…) — resuming would silently produce a different experiment.
 var ErrConfigMismatch = errors.New("core: checkpoint config mismatch")
+
+// fingerprint lists the identity-defining configuration as named u64s.
+func fingerprint(cfg Config, faulty bool) ([]string, []uint64) {
+	return []string{"kind", "classes", "perm-classes", "shared-convs", "probes",
+			"seed", "frozen-model", "faults-enabled", "in-situ-frac (float bits)"},
+		[]uint64{
+			uint64(cfg.Kind), uint64(cfg.Classes), uint64(cfg.PermClasses),
+			uint64(cfg.SharedConvs), uint64(cfg.Probes), cfg.Seed,
+			ckpt.BoolU64(cfg.FrozenModel), ckpt.BoolU64(faulty),
+			math.Float64bits(cfg.InSituFrac),
+		}
+}
 
 // Checkpoint writes the system's complete mutable state to w. The
 // stream carries a fingerprint of the identity-defining configuration,
@@ -41,95 +50,27 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if _, err := bw.WriteString(ckptMagic); err != nil {
 		return err
 	}
-	// Configuration fingerprint.
-	fp := []uint64{
-		uint64(s.Cfg.Kind), uint64(s.Cfg.Classes), uint64(s.Cfg.PermClasses),
-		uint64(s.Cfg.SharedConvs), uint64(s.Cfg.Probes), s.Cfg.Seed,
-		ckpt.BoolU64(s.Cfg.FrozenModel), ckpt.BoolU64(s.downlink != nil),
-	}
-	for _, v := range fp {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	// Progression and environment.
-	if err := ckpt.WriteU64s(bw,
-		uint64(s.stage), uint64(s.cloudVersion), uint64(s.nodeVersion),
-		math.Float64bits(s.Cfg.Severity), math.Float64bits(s.Cfg.InSituFrac),
-	); err != nil {
+	_, fp := fingerprint(s.Cfg, s.node.downlink != nil)
+	if err := ckpt.WriteU64s(bw, fp...); err != nil {
 		return err
 	}
-	// RNG positions.
-	if err := ckpt.WriteU64s(bw,
-		s.gen.RNGState(), s.jigTr.RNGState(), s.rng.State(),
-		s.cloudDiag.RNGState(), s.diag.RNGState(),
-	); err != nil {
+	if err := ckpt.WriteU64s(bw, uint64(s.stage), math.Float64bits(s.Cfg.Severity)); err != nil {
 		return err
 	}
-	// Optimizer hyperparameter mutated at runtime (bootstrap lowers it)
-	// and the calibrated thresholds.
-	if err := ckpt.WriteU64s(bw,
-		uint64(math.Float32bits(s.jigTr.Opt.LR)),
-		math.Float64bits(s.cloudDiag.Threshold()),
-		math.Float64bits(s.diag.Threshold()),
-	); err != nil {
+	if err := s.cloud.Save(bw); err != nil {
 		return err
 	}
-	// The four networks, their stochastic-layer state, and the persistent
-	// optimizer's momentum.
-	for _, net := range s.nets() {
-		if err := ckpt.WriteBlob(bw, net.SaveWeights); err != nil {
-			return err
-		}
-		if err := ckpt.WriteBlob(bw, net.SaveLayerState); err != nil {
-			return err
-		}
-	}
-	if err := ckpt.WriteBlob(bw, func(w io.Writer) error {
-		return s.jigTr.Opt.SaveState(w, s.cloudJig.Params())
-	}); err != nil {
+	if err := ckpt.WriteBlob(bw, s.node.SaveState); err != nil {
 		return err
-	}
-	// Link meter accumulators (uplink, retransmit, downlink).
-	if err := ckpt.WriteU64s(bw,
-		uint64(s.meter.Bytes), uint64(s.meter.Items),
-		math.Float64bits(s.meter.Seconds), math.Float64bits(s.meter.Joules),
-		uint64(s.meter.Retransmits), uint64(s.meter.RetransmitBytes),
-		math.Float64bits(s.meter.RetransmitSecs), math.Float64bits(s.meter.RetransmitJoules),
-		uint64(s.meter.Downloads), uint64(s.meter.DownlinkBytes),
-		math.Float64bits(s.meter.DownlinkSecs), math.Float64bits(s.meter.DownlinkJoules),
-	); err != nil {
-		return err
-	}
-	// Fault-injected downlink position.
-	if s.downlink != nil {
-		st := s.downlink.Snapshot()
-		if err := ckpt.WriteU64s(bw,
-			uint64(st.Seq), uint64(st.Stats.Transfers), uint64(st.Stats.Corrupted),
-			uint64(st.Stats.Dropped), uint64(st.Stats.OutageDrops), st.RNGState,
-		); err != nil {
-			return err
-		}
-	}
-	// The Cloud's replay pool.
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.cloudData))); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*models.ImgChannels*models.ImgSize*models.ImgSize)
-	for _, smp := range s.cloudData {
-		if err := dataset.WriteSample(bw, smp, buf); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }
 
 // Resume rebuilds a System from cfg and a checkpoint stream written by
 // Checkpoint. cfg must describe the same experiment (Resume verifies the
-// identity fingerprint); runtime-mutable fields (severity, thresholds,
-// optimizer LR) are restored from the checkpoint. The restored weights
-// are validated — a corrupt-but-CRC-valid model is rejected rather than
-// served.
+// identity fingerprint); what SetSeverity mutates at run time is
+// restored from the checkpoint. The restored weights are validated — a
+// corrupt-but-CRC-valid model is rejected rather than served.
 func Resume(cfg Config, r io.Reader) (*System, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(ckptMagic))
@@ -139,122 +80,29 @@ func Resume(cfg Config, r io.Reader) (*System, error) {
 	if string(magic) != ckptMagic {
 		return nil, fmt.Errorf("core: bad checkpoint magic %q", magic)
 	}
-	fp := make([]uint64, 8)
-	if err := ckpt.ReadU64s(br, fp); err != nil {
+	names, want := fingerprint(cfg, cfg.Faults.Enabled())
+	got := make([]uint64, len(want))
+	if err := ckpt.ReadU64s(br, got); err != nil {
 		return nil, err
 	}
-	want := []uint64{
-		uint64(cfg.Kind), uint64(cfg.Classes), uint64(cfg.PermClasses),
-		uint64(cfg.SharedConvs), uint64(cfg.Probes), cfg.Seed,
-		ckpt.BoolU64(cfg.FrozenModel), ckpt.BoolU64(cfg.Faults.Enabled()),
-	}
-	names := []string{"kind", "classes", "perm-classes", "shared-convs",
-		"probes", "seed", "frozen-model", "faults-enabled"}
 	for i := range want {
-		if fp[i] != want[i] {
+		if got[i] != want[i] {
 			return nil, fmt.Errorf("%w: %s is %d in the checkpoint, %d in the config",
-				ErrConfigMismatch, names[i], fp[i], want[i])
+				ErrConfigMismatch, names[i], got[i], want[i])
 		}
 	}
-
-	s := NewSystem(cfg)
-	prog := make([]uint64, 5)
+	prog := make([]uint64, 2)
 	if err := ckpt.ReadU64s(br, prog); err != nil {
 		return nil, err
 	}
+	s := NewSystem(cfg)
 	s.stage = int(prog[0])
-	s.cloudVersion = uint32(prog[1])
-	s.nodeVersion = uint32(prog[2])
-	s.Cfg.Severity = math.Float64frombits(prog[3])
-	if got := math.Float64frombits(prog[4]); got != cfg.InSituFrac {
-		return nil, fmt.Errorf("%w: in-situ fraction %v in the checkpoint, %v in the config",
-			ErrConfigMismatch, got, cfg.InSituFrac)
-	}
-
-	rngs := make([]uint64, 5)
-	if err := ckpt.ReadU64s(br, rngs); err != nil {
+	s.SetSeverity(math.Float64frombits(prog[1]))
+	if err := s.cloud.Load(br); err != nil {
 		return nil, err
 	}
-	s.gen.SetRNGState(rngs[0])
-	s.jigTr.SetRNGState(rngs[1])
-	s.rng.SetState(rngs[2])
-	s.cloudDiag.SetRNGState(rngs[3])
-	s.diag.SetRNGState(rngs[4])
-
-	hyper := make([]uint64, 3)
-	if err := ckpt.ReadU64s(br, hyper); err != nil {
+	if err := ckpt.ReadBlob(br, s.node.LoadState); err != nil {
 		return nil, err
-	}
-	s.jigTr.Opt.LR = math.Float32frombits(uint32(hyper[0]))
-	s.cloudDiag.SetThreshold(math.Float64frombits(hyper[1]))
-	s.diag.SetThreshold(math.Float64frombits(hyper[2]))
-
-	for _, net := range s.nets() {
-		if err := ckpt.ReadBlob(br, net.LoadWeights); err != nil {
-			return nil, fmt.Errorf("core: restoring %s weights: %w", net.Name, err)
-		}
-		if err := ckpt.ReadBlob(br, net.LoadLayerState); err != nil {
-			return nil, fmt.Errorf("core: restoring %s layer state: %w", net.Name, err)
-		}
-	}
-	if err := ckpt.ReadBlob(br, func(r io.Reader) error {
-		return s.jigTr.Opt.LoadState(r, s.cloudJig.Params())
-	}); err != nil {
-		return nil, fmt.Errorf("core: restoring optimizer state: %w", err)
-	}
-
-	meter := make([]uint64, 12)
-	if err := ckpt.ReadU64s(br, meter); err != nil {
-		return nil, err
-	}
-	s.meter.Bytes = int64(meter[0])
-	s.meter.Items = int64(meter[1])
-	s.meter.Seconds = math.Float64frombits(meter[2])
-	s.meter.Joules = math.Float64frombits(meter[3])
-	s.meter.Retransmits = int64(meter[4])
-	s.meter.RetransmitBytes = int64(meter[5])
-	s.meter.RetransmitSecs = math.Float64frombits(meter[6])
-	s.meter.RetransmitJoules = math.Float64frombits(meter[7])
-	s.meter.Downloads = int64(meter[8])
-	s.meter.DownlinkBytes = int64(meter[9])
-	s.meter.DownlinkSecs = math.Float64frombits(meter[10])
-	s.meter.DownlinkJoules = math.Float64frombits(meter[11])
-
-	if s.downlink != nil {
-		link := make([]uint64, 6)
-		if err := ckpt.ReadU64s(br, link); err != nil {
-			return nil, err
-		}
-		s.downlink.Restore(netsim.LinkState{
-			Seq: int64(link[0]),
-			Stats: netsim.LinkStats{
-				Transfers: int64(link[1]), Corrupted: int64(link[2]),
-				Dropped: int64(link[3]), OutageDrops: int64(link[4]),
-			},
-			RNGState: link[5],
-		})
-	}
-
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 4*models.ImgChannels*models.ImgSize*models.ImgSize)
-	s.cloudData = make([]dataset.Sample, 0, count)
-	for i := uint32(0); i < count; i++ {
-		smp, err := dataset.ReadSample(br, buf)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring replay sample %d: %w", i, err)
-		}
-		s.cloudData = append(s.cloudData, smp)
-	}
-
-	// A checkpoint that decodes cleanly can still carry a poisoned model;
-	// refuse to bring it back to life.
-	for _, net := range s.nets() {
-		if err := net.CheckFinite(); err != nil {
-			return nil, fmt.Errorf("core: refusing to resume: %w", err)
-		}
 	}
 	return s, nil
 }
@@ -264,28 +112,3 @@ func Resume(cfg Config, r io.Reader) (*System, error) {
 // position it was checkpointed at, which is how callers know which
 // stages remain.
 func (s *System) Stage() int { return s.stage }
-
-// nets lists the four networks in their fixed serialization order.
-func (s *System) nets() []*nnNet {
-	return []*nnNet{
-		{s.cloudInfer.Name + "(cloud)", s.cloudInfer.SaveWeights, s.cloudInfer.LoadWeights,
-			s.cloudInfer.SaveLayerState, s.cloudInfer.LoadLayerState, s.cloudInfer.CheckFinite},
-		{s.cloudJig.Name + "(cloud)", s.cloudJig.SaveWeights, s.cloudJig.LoadWeights,
-			s.cloudJig.SaveLayerState, s.cloudJig.LoadLayerState, s.cloudJig.CheckFinite},
-		{s.nodeInfer.Name + "(node)", s.nodeInfer.SaveWeights, s.nodeInfer.LoadWeights,
-			s.nodeInfer.SaveLayerState, s.nodeInfer.LoadLayerState, s.nodeInfer.CheckFinite},
-		{s.nodeJig.Name + "(node)", s.nodeJig.SaveWeights, s.nodeJig.LoadWeights,
-			s.nodeJig.SaveLayerState, s.nodeJig.LoadLayerState, s.nodeJig.CheckFinite},
-	}
-}
-
-// nnNet adapts one network's persistence hooks for the serialization
-// loop above.
-type nnNet struct {
-	Name           string
-	SaveWeights    func(io.Writer) error
-	LoadWeights    func(io.Reader) error
-	SaveLayerState func(io.Writer) error
-	LoadLayerState func(io.Reader) error
-	CheckFinite    func() error
-}

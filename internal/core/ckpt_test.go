@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
+	"insitu/internal/dataset"
 	"insitu/internal/netsim"
 )
 
@@ -142,5 +146,47 @@ func TestResumeRejectsTruncated(t *testing.T) {
 		if _, err := Resume(cfg, bytes.NewReader(raw[:cut])); err == nil {
 			t.Errorf("Resume accepted a stream truncated to %d bytes", cut)
 		}
+	}
+}
+
+// The replay-pool length is read from the stream, and Resume takes any
+// reader: a count patched far beyond the samples that follow must run
+// into the end of the stream, not ask the allocator for ~96 GiB.
+func TestResumeRejectsInflatedPoolCount(t *testing.T) {
+	cfg := ckptConfig(5, false)
+	sys := NewSystem(cfg)
+	sys.Bootstrap(32)
+	var snap, node bytes.Buffer
+	if err := sys.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.node.SaveState(&node); err != nil {
+		t.Fatal(err)
+	}
+	raw := snap.Bytes()
+	// The pool closes the Cloud section; the node's framed blob follows.
+	at := len(raw) - (8 + node.Len()) - 32*(16+int(dataset.ImageBytes)) - 4
+	if got := binary.LittleEndian.Uint32(raw[at:]); got != 32 {
+		t.Fatalf("pool count at offset %d reads %d, want 32", at, got)
+	}
+	binary.LittleEndian.PutUint32(raw[at:], math.MaxUint32)
+	if _, err := Resume(cfg, bytes.NewReader(raw)); err == nil {
+		t.Fatal("Resume accepted a pool count far beyond the stream")
+	}
+}
+
+// A snapshot in the previous layout must fail on its magic, never be
+// decoded as the current one.
+func TestResumeRejectsPreviousMagic(t *testing.T) {
+	cfg := ckptConfig(5, false)
+	sys := NewSystem(cfg)
+	var snap bytes.Buffer
+	if err := sys.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	raw := snap.Bytes()
+	copy(raw, "ISCS0001")
+	if _, err := Resume(cfg, bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
+		t.Fatalf("Resume of an ISCS0001 stream: %v, want a bad-magic error", err)
 	}
 }

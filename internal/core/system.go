@@ -26,17 +26,12 @@ import (
 	"fmt"
 
 	"insitu/internal/cloud"
-	"insitu/internal/dataset"
 	"insitu/internal/deploy"
 	"insitu/internal/diagnosis"
-	"insitu/internal/jigsaw"
 	"insitu/internal/models"
 	"insitu/internal/netsim"
 	"insitu/internal/nn"
 	"insitu/internal/telemetry"
-	"insitu/internal/tensor"
-	"insitu/internal/train"
-	"insitu/internal/transfer"
 )
 
 // SystemKind selects one of the Fig. 24 variants.
@@ -178,63 +173,47 @@ type StageReport struct {
 	DeployBackoffSeconds float64
 }
 
-// System is one simulated IoT deployment (node + Cloud). The Cloud and
-// the node hold separate copies of both networks; updates travel as
-// checksummed deploy.Bundle frames, exactly like a real OTA pipeline.
+// System is one simulated IoT deployment: the Cloud half and one node
+// half of the loop, driven synchronously. The two hold separate copies
+// of both networks; updates travel as checksummed deploy.Bundle frames,
+// exactly like a real OTA pipeline.
 type System struct {
 	Cfg Config
 
-	gen *dataset.Generator
-	// Cloud-side models (trained).
-	cloudInfer *nn.Network
-	cloudJig   *nn.Network
-	cloudDiag  *diagnosis.JigsawDiagnoser // threshold calibration
-	// Node-side models (deployed).
-	nodeInfer *nn.Network
-	nodeJig   *nn.Network
-	diag      *diagnosis.JigsawDiagnoser
-
-	permSet  *jigsaw.PermSet
-	jigTr    *jigsaw.Trainer
-	meter    *netsim.Meter
-	diagSpec models.NetSpec
-	// downlink injects faults into deploy deliveries; nil = perfect link.
-	downlink *netsim.LossyLink
-	// cloudVersion is the latest bundle the Cloud published; nodeVersion
-	// is what the node actually runs. They diverge while deploys fail.
-	cloudVersion uint32
-	nodeVersion  uint32
-
-	// cloudData is every sample the Cloud has received (its replay pool).
-	cloudData []dataset.Sample
-	stage     int
-	rng       *tensor.RNG
+	cloud *cloud.Server
+	node  *Node
+	stage int
 }
 
 // NewSystem constructs a system; call Bootstrap before RunStage.
 func NewSystem(cfg Config) *System {
-	if cfg.Classes < 2 || cfg.PermClasses < 2 {
-		panic("core: bad config")
+	return &System{
+		Cfg: cfg,
+		cloud: cloud.NewServer(cloud.Config{
+			Classes:       cfg.Classes,
+			PermClasses:   cfg.PermClasses,
+			SharedConvs:   cfg.SharedConvs,
+			Probes:        cfg.Probes,
+			Seed:          cfg.Seed,
+			FullScaleSpec: cfg.FullScaleSpec,
+			Cost:          cfg.Cost,
+		}),
+		node: NewNode(NodeConfig{
+			Kind:          cfg.Kind,
+			Classes:       cfg.Classes,
+			PermClasses:   cfg.PermClasses,
+			Probes:        cfg.Probes,
+			Seed:          cfg.Seed,
+			GenSeed:       cfg.Seed,
+			DiagSeed:      cfg.Seed + 6,
+			InSituFrac:    cfg.InSituFrac,
+			Severity:      cfg.Severity,
+			Link:          cfg.Link,
+			Downlink:      cfg.Faults,
+			DeployRetries: cfg.DeployRetries,
+			OnFault:       countDeliveryFault,
+		}),
 	}
-	s := &System{
-		Cfg:        cfg,
-		gen:        dataset.NewGenerator(cfg.Classes, cfg.Seed),
-		permSet:    jigsaw.NewPermSet(cfg.PermClasses, cfg.Seed+1),
-		cloudJig:   jigsaw.NewNet(cfg.PermClasses, cfg.Seed+2),
-		cloudInfer: models.TinyAlex(cfg.Classes, cfg.Seed+3),
-		nodeJig:    jigsaw.NewNet(cfg.PermClasses, cfg.Seed+2),
-		nodeInfer:  models.TinyAlex(cfg.Classes, cfg.Seed+3),
-		meter:      netsim.NewMeter(cfg.Link),
-		diagSpec:   models.DiagnosisSpec(cfg.FullScaleSpec, 100),
-		rng:        tensor.NewRNG(cfg.Seed + 4),
-	}
-	s.jigTr = jigsaw.NewTrainer(s.cloudJig, s.permSet, 0.01, cfg.Seed+5)
-	s.cloudDiag = diagnosis.NewJigsawDiagnoser(s.cloudJig, s.permSet, cfg.Probes, cfg.Seed+6)
-	s.diag = diagnosis.NewJigsawDiagnoser(s.nodeJig, s.permSet, cfg.Probes, cfg.Seed+6)
-	if cfg.Faults.Enabled() {
-		s.downlink = netsim.NewLossyLink(cfg.Link, cfg.Faults)
-	}
-	return s
 }
 
 // SetFaults swaps the downlink fault model for subsequent stages — e.g.
@@ -242,64 +221,15 @@ func NewSystem(cfg Config) *System {
 // SetSeverity for the network environment.
 func (s *System) SetFaults(cfg netsim.FaultConfig) {
 	s.Cfg.Faults = cfg
-	if cfg.Enabled() {
-		s.downlink = netsim.NewLossyLink(s.Cfg.Link, cfg)
-	} else {
-		s.downlink = nil
-	}
+	s.node.downlink = newLink(s.Cfg.Link, cfg)
 }
 
-// deployOutcome summarizes one stage's OTA delivery.
-type deployOutcome struct {
-	bytes       int64 // encoded bundle size (the downlink cost per delivery)
-	attempts    int
-	retransmits int64 // extra bytes spent on redeliveries
-	backoff     float64
-	failed      bool
-	err         error // last delivery error when failed
-}
-
-// deployBackoffBase is the modeled wait before the first redelivery; it
-// doubles per retry (0.5 s, 1 s, 2 s, …).
-const deployBackoffBase = 0.5
-
-// deployToNode packages the Cloud models plus the calibrated threshold
-// and ships them over the (simulated, possibly faulty) downlink to the
-// node's copies. Delivery is retried with exponential backoff up to
-// Config.DeployRetries times; every redelivery is metered as retransmit
-// traffic. On persistent failure the node is left exactly as it was —
-// serving the previous model version — and the loop degrades gracefully
-// instead of crashing: the next stage publishes a fresh bundle that
-// re-converges the node once the link lets one through.
-func (s *System) deployToNode() deployOutcome {
-	s.cloudVersion++
-	bundle, err := deploy.Pack(s.cloudVersion, s.cloudInfer, s.cloudJig, s.cloudDiag.Threshold())
-	if err != nil {
-		// Cloud-side packing failure: nothing was transmitted.
-		countDeployFault(func(st *coreStats) *telemetry.Counter { return st.deployFailures })
-		return deployOutcome{failed: true, err: fmt.Errorf("core: packing deployment: %w", err)}
-	}
-	res := deploy.Downlink{
-		Link:        s.downlink,
-		Meter:       s.meter,
-		Retries:     s.Cfg.DeployRetries,
-		BackoffBase: deployBackoffBase,
-		OnFault:     countDeliveryFault,
-	}.Deliver(bundle, deploy.Target{
-		Current:   s.nodeVersion,
-		Inference: s.nodeInfer,
-		Jigsaw:    s.nodeJig,
-		Diag:      s.diag,
-	})
-	s.nodeVersion = res.Version
-	return deployOutcome{
-		bytes:       res.Bytes,
-		attempts:    res.Attempts,
-		retransmits: res.Retransmits,
-		backoff:     res.Backoff,
-		failed:      res.Failed,
-		err:         res.Err,
-	}
+// SetSeverity adjusts the in-situ condition severity for subsequent
+// stages — environment drift, the "ever-changing in-situ environments"
+// of the paper's motivation.
+func (s *System) SetSeverity(severity float64) {
+	s.Cfg.Severity = severity
+	s.node.cfg.Severity = severity
 }
 
 // countDeliveryFault maps the delivery loop's fault taxonomy onto the
@@ -320,294 +250,118 @@ func countDeliveryFault(f deploy.Fault) {
 }
 
 // Meter exposes the node's uplink meter.
-func (s *System) Meter() *netsim.Meter { return s.meter }
+func (s *System) Meter() *netsim.Meter { return s.node.meter }
 
 // InferenceNet exposes the node's deployed inference network.
-func (s *System) InferenceNet() *nn.Network { return s.nodeInfer }
+func (s *System) InferenceNet() *nn.Network { return s.node.infer }
 
 // Diagnoser exposes the node's diagnosis task.
-func (s *System) Diagnoser() *diagnosis.JigsawDiagnoser { return s.diag }
+func (s *System) Diagnoser() *diagnosis.JigsawDiagnoser { return s.node.diag }
 
 // ModelVersion returns the bundle version the node currently runs.
-func (s *System) ModelVersion() uint32 { return s.nodeVersion }
+func (s *System) ModelVersion() uint32 { return s.node.version }
 
 // CloudVersion returns the latest bundle version the Cloud published;
 // it exceeds ModelVersion while deployments are failing.
-func (s *System) CloudVersion() uint32 { return s.cloudVersion }
+func (s *System) CloudVersion() uint32 { return s.cloud.Version() }
 
 // Downlink exposes the fault-injected downlink, nil on a perfect link.
-func (s *System) Downlink() *netsim.LossyLink { return s.downlink }
+func (s *System) Downlink() *netsim.LossyLink { return s.node.downlink }
 
 // Bootstrap performs the paper's initialization: n images are captured
-// and (in every variant) moved to the Cloud, the unsupervised network is
-// pre-trained on them, the inference network is transfer-learned from it
-// on the labeled set, and the initial models are deployed to the node
-// with a calibrated diagnosis threshold.
+// and (in every variant) moved to the Cloud, which pre-trains, transfers,
+// fine-tunes and calibrates on them and deploys the initial models to
+// the node.
 func (s *System) Bootstrap(n int) StageReport {
 	if s.stage != 0 {
 		panic("core: Bootstrap after stages have run")
 	}
-	capture := s.gen.MixedSet(n, s.Cfg.InSituFrac, s.Cfg.Severity)
-	s.meter.UploadItems(int64(n)*dataset.ImageBytes, int64(n))
-	s.cloudData = append(s.cloudData, capture...)
-
-	// Unsupervised pre-training on the raw pool.
-	s.trainJigsaw(capture, 0)
-	// Transfer learning into the inference network, then supervised
-	// fine-tune on the labeled bootstrap data.
-	if _, err := transfer.FromUnsupervised(s.cloudInfer, s.cloudJig, s.Cfg.SharedConvs); err != nil {
-		panic(fmt.Sprintf("core: transfer failed: %v", err))
-	}
-	cfg := train.DefaultConfig(StepsFor(len(capture)))
-	train.Run(s.cloudInfer, capture, cfg, 0)
-
-	// After the bootstrap, incremental updates use a gentler learning
-	// rate so small hard-example sets don't destabilize the models.
-	s.jigTr.Opt.LR = 0.005
-
-	// Calibrate the diagnosis threshold Cloud-side: the Cloud measures
-	// the freshly trained model's error rate and sets the upload budget
-	// accordingly (bounded below by the configured target's floor); the
-	// threshold ships to the node inside the deployment bundle.
-	errRate := 1 - train.Evaluate(s.cloudInfer, capture)
-	diagnosis.Calibrate(s.cloudDiag, capture, CalibTarget(errRate))
-	dep := s.deployToNode()
-
-	cost := s.Cfg.Cost.PretrainCost(s.diagSpec, n, 0)
-	cost.Add(s.Cfg.Cost.UpdateCost(s.Cfg.FullScaleSpec, n, 0))
-	s.stage = 1
-	rep := StageReport{
-		Stage:                0,
-		Kind:                 s.Cfg.Kind,
-		Captured:             n,
-		Uploaded:             n,
-		UploadedBytes:        int64(n) * dataset.ImageBytes,
-		UploadFrac:           1,
-		UplinkJoules:         s.Cfg.Link.TransferEnergy(int64(n) * dataset.ImageBytes),
-		UplinkSeconds:        s.Cfg.Link.TransferTime(int64(n) * dataset.ImageBytes),
-		Trained:              n,
-		CloudCost:            cost,
-		NodeAccuracy:         s.evaluate(),
-		DownlinkBytes:        dep.bytes,
-		ModelVersion:         s.nodeVersion,
-		DeployAttempts:       dep.attempts,
-		DeployFailed:         dep.failed,
-		StaleModel:           s.nodeVersion < s.cloudVersion,
-		RetransmitBytes:      dep.retransmits,
-		DeployBackoffSeconds: dep.backoff,
-	}
-	s.record(rep)
-	return rep
+	up := s.node.Capture(n, true)
+	s.cloud.Bootstrap(up.Samples)
+	return s.finish(up, len(up.Samples), 0)
 }
-
-// SetSeverity adjusts the in-situ condition severity for subsequent
-// stages — environment drift, the "ever-changing in-situ environments"
-// of the paper's motivation.
-func (s *System) SetSeverity(severity float64) { s.Cfg.Severity = severity }
 
 // RunStage captures n new images and runs one incremental update.
 func (s *System) RunStage(n int) StageReport {
 	if s.stage == 0 {
 		panic("core: RunStage before Bootstrap")
 	}
-	capture := s.gen.MixedSet(n, s.Cfg.InSituFrac, s.Cfg.Severity)
-
-	// Node-side diagnosis quality against ground truth (pre-update).
-	quality := diagnosis.Measure(s.diag, s.nodeInfer, capture)
-
 	// The static-edge baseline processes everything locally and never
-	// adapts: report accuracy and stop.
+	// adapts: grade the diagnosis and the model, move nothing.
 	if s.Cfg.FrozenModel {
+		quality := diagnosis.Measure(s.node.diag, s.node.infer, s.node.draw(n))
 		rep := StageReport{
 			Stage:            s.stage,
 			Kind:             s.Cfg.Kind,
 			Captured:         n,
-			NodeAccuracy:     s.evaluate(),
+			NodeAccuracy:     s.node.evaluate(),
 			DiagnosisQuality: quality,
-			ModelVersion:     s.nodeVersion,
-			StaleModel:       s.nodeVersion < s.cloudVersion,
+			ModelVersion:     s.node.version,
+			StaleModel:       s.node.version < s.cloud.Version(),
 		}
 		s.stage++
 		s.record(rep)
 		return rep
 	}
-
-	// A small uniformly-sampled calibration set always moves to the
-	// Cloud: it lets the Cloud measure the updated model's error rate
-	// without bias and ship a recalibrated diagnosis threshold back with
-	// the model. For variants (a)/(b) it is part of the full stream; for
-	// (c)/(d) it is extra metered traffic.
-	calibN := n / 10
-	if calibN < 12 {
-		calibN = 12
-	}
-	calib := s.gen.MixedSet(calibN, s.Cfg.InSituFrac, s.Cfg.Severity)
-
-	// What moves to the Cloud. For the in-situ variants the calibration
-	// set is extra metered traffic on top of the diagnosis-filtered
-	// uploads, so it also counts into the captured denominator below —
-	// otherwise the upload fraction could exceed 1 early on, when the
-	// diagnoser still flags nearly everything.
-	var uploaded []dataset.Sample
-	calibUploaded := 0
-	capturedTotal := n
-	if s.Cfg.Kind.UsesNodeDiagnosis() {
-		_, unrecognized := diagnosis.Split(s.diag, capture)
-		uploaded = append(unrecognized, calib...)
-		calibUploaded = len(calib)
-		capturedTotal = n + len(calib)
-	} else {
-		uploaded = capture
-	}
-	upBytes := int64(len(uploaded)) * dataset.ImageBytes
-	s.meter.UploadItems(upBytes, int64(len(uploaded)))
-	s.cloudData = append(s.cloudData, uploaded...)
-
-	// What the Cloud retrains on.
-	var trainSet []dataset.Sample
-	switch {
-	case s.Cfg.Kind == SystemCloudAll:
-		trainSet = capture
-	case s.Cfg.Kind == SystemCloudDiagnosis:
-		// Cloud-side diagnosis: same filter, applied after the move —
-		// with the Cloud's own diagnoser, whose threshold the Cloud just
-		// recalibrated (the node copy may lag a deploy behind).
-		_, unrecognized := diagnosis.Split(s.cloudDiag, capture)
-		trainSet = unrecognized
-	default:
-		trainSet = uploaded
-	}
-
+	up := s.node.Capture(n, false)
 	locked := 0
 	if s.Cfg.Kind.UsesWeightSharing() {
 		locked = s.Cfg.SharedConvs
 	}
-	if len(trainSet) > 0 {
-		// Incremental unsupervised update keeps the diagnosis task
-		// tracking the drifting environment.
-		s.trainJigsaw(trainSet, locked)
-		// Supervised fine-tune with replay from the Cloud's pool to
-		// stabilize hard-example-only updates (the Cloud owns all
-		// previously uploaded data).
-		mixed := s.withReplay(trainSet)
-		cfg := train.DefaultConfig(StepsFor(len(mixed)))
-		cfg.LR = 0.005
-		transfer.FineTune(s.cloudInfer, mixed, cfg, locked)
+	trained := s.cloud.Update(up.Samples, up.Calib, locked, s.Cfg.Kind == SystemCloudDiagnosis)
+	return s.finish(up, trained, locked)
+}
+
+// finish closes a stage once the Cloud has retrained: publish and
+// deliver the next bundle, price the retrain at full scale, grade the
+// node and assemble the report. A bundle the Cloud cannot even pack
+// counts as a failed deployment — nothing was transmitted and the node
+// keeps serving what it has.
+func (s *System) finish(up Upload, trained, locked int) StageReport {
+	var dep deploy.Result
+	if bundle, err := s.cloud.Pack(); err != nil {
+		countDeployFault(func(st *coreStats) *telemetry.Counter { return st.deployFailures })
+		dep = deploy.Result{Failed: true, Err: fmt.Errorf("core: packing deployment: %w", err)}
+	} else {
+		dep = s.node.deliver(bundle)
 	}
-
-	// The Cloud recalibrates the diagnosis threshold against the updated
-	// model's measured error rate and ships it — with the models — back
-	// to the node over the downlink. The new threshold is blended with
-	// the previous one (EMA) so one noisy calibration sample cannot swing
-	// the upload budget.
-	errRate := 1 - train.Evaluate(s.cloudInfer, calib)
-	prevThr := s.cloudDiag.Threshold()
-	diagnosis.Calibrate(s.cloudDiag, calib, CalibTarget(errRate))
-	s.cloudDiag.SetThreshold(0.5*prevThr + 0.5*s.cloudDiag.Threshold())
-	dep := s.deployToNode()
-
-	// Price the update at full scale.
 	var cost cloud.Cost
-	if len(trainSet) > 0 {
-		cost = s.Cfg.Cost.PretrainCost(s.diagSpec, len(trainSet), locked)
-		cost.Add(s.Cfg.Cost.UpdateCost(s.Cfg.FullScaleSpec, len(trainSet), locked))
+	if trained > 0 {
+		var update cloud.Cost
+		cost, update = s.cloud.Costs(trained, locked)
+		cost.Add(update)
 	}
-
 	rep := StageReport{
 		Stage:                s.stage,
 		Kind:                 s.Cfg.Kind,
-		Captured:             capturedTotal,
-		Uploaded:             len(uploaded),
-		UploadedBytes:        upBytes,
-		UploadFrac:           float64(len(uploaded)) / float64(capturedTotal),
-		UplinkJoules:         s.Cfg.Link.TransferEnergy(upBytes),
-		UplinkSeconds:        s.Cfg.Link.TransferTime(upBytes),
-		Trained:              len(trainSet),
+		Captured:             up.Captured,
+		Uploaded:             up.Uploaded,
+		UploadedBytes:        up.UpBytes,
+		UploadFrac:           float64(up.Uploaded) / float64(up.Captured),
+		UplinkJoules:         up.UplinkJ,
+		UplinkSeconds:        up.UplinkS,
+		Trained:              trained,
 		CloudCost:            cost,
-		NodeAccuracy:         s.evaluate(),
-		DiagnosisQuality:     quality,
-		DownlinkBytes:        dep.bytes,
-		ModelVersion:         s.nodeVersion,
-		CalibUploaded:        calibUploaded,
-		DeployAttempts:       dep.attempts,
-		DeployFailed:         dep.failed,
-		StaleModel:           s.nodeVersion < s.cloudVersion,
-		RetransmitBytes:      dep.retransmits,
-		DeployBackoffSeconds: dep.backoff,
+		NodeAccuracy:         s.node.evaluate(),
+		DiagnosisQuality:     up.Quality,
+		DownlinkBytes:        dep.Bytes,
+		ModelVersion:         s.node.version,
+		CalibUploaded:        up.CalibN,
+		DeployAttempts:       dep.Attempts,
+		DeployFailed:         dep.Failed,
+		StaleModel:           s.node.version < s.cloud.Version(),
+		RetransmitBytes:      dep.Retransmits,
+		DeployBackoffSeconds: dep.Backoff,
 	}
 	s.stage++
 	s.record(rep)
 	return rep
 }
 
-// trainJigsaw runs incremental unsupervised training on a sample set.
-// locked > 0 freezes the shared CONV prefix (variant d keeps the shared
-// trunk stable so the inference network's locked layers stay valid).
-func (s *System) trainJigsaw(samples []dataset.Sample, locked int) {
-	images := make([]*tensor.Tensor, len(samples))
-	for i, smp := range samples {
-		images[i] = smp.Image
-	}
-	prefixes := transfer.ConvPrefixes(locked)
-	if locked > 0 && s.stage > 0 {
-		s.cloudJig.FreezeLayers(prefixes...)
-	}
-	steps := StepsFor(len(images))
-	const batch = 16
-	for step := 0; step < steps; step++ {
-		i0 := (step * batch) % len(images)
-		end := i0 + batch
-		if end > len(images) {
-			end = len(images)
-		}
-		s.jigTr.Step(images[i0:end])
-	}
-	if locked > 0 && s.stage > 0 {
-		s.cloudJig.UnfreezeLayers(prefixes...)
-	}
-}
-
-// withReplay mixes the new uploads with an equal-sized random sample of
-// the Cloud's accumulated pool.
-func (s *System) withReplay(fresh []dataset.Sample) []dataset.Sample {
-	out := append([]dataset.Sample(nil), fresh...)
-	if len(s.cloudData) == 0 {
-		return out
-	}
-	for i := 0; i < len(fresh); i++ {
-		out = append(out, s.cloudData[s.rng.Intn(len(s.cloudData))])
-	}
-	return out
-}
-
-// evaluate measures the NODE's deployed-model accuracy on a fresh
-// capture mix.
-func (s *System) evaluate() float64 {
-	eval := s.gen.MixedSet(120, s.Cfg.InSituFrac, s.Cfg.Severity)
-	return train.Evaluate(s.nodeInfer, eval)
-}
-
-// StepsFor scales training steps to a stage's data volume: roughly
-// eight epochs at batch 32, at least 40 steps. Exported so the fleet
-// server can budget its aggregated retrains with the same rule.
-func StepsFor(n int) int {
-	steps := 8 * n / 32
-	if steps < 40 {
-		steps = 40
-	}
-	return steps
-}
+// StepsFor scales training steps to a stage's data volume; see
+// cloud.StepsFor.
+func StepsFor(n int) int { return cloud.StepsFor(n) }
 
 // CalibTarget converts a measured error rate into a diagnosis upload
-// budget: upload a bit more than the error rate (to catch most errors)
-// with a floor that keeps the loop alive.
-func CalibTarget(errRate float64) float64 {
-	t := errRate*1.2 + 0.05
-	if t > 1 {
-		t = 1
-	}
-	if t < 0.05 {
-		t = 0.05
-	}
-	return t
-}
+// budget; see cloud.CalibTarget.
+func CalibTarget(errRate float64) float64 { return cloud.CalibTarget(errRate) }

@@ -12,11 +12,10 @@ import (
 
 // The Cloud-side delivery loop: encode a bundle once, push it over a
 // (possibly faulty) downlink, and retry with exponential backoff until
-// the node's ApplyAtomic accepts it or the retry budget runs out. The
-// loop was born in core.System and moved here verbatim when the fleet
-// server needed the identical semantics per node — both callers must
-// meter retransmits, classify faults for telemetry, and leave the node
-// on its previous version after a persistent failure.
+// the node's ApplyAtomic accepts it or the retry budget runs out. It
+// meters retransmits, classifies faults for telemetry, and leaves the
+// node on its previous version after a persistent failure; core.Node
+// runs it for every deployment shape.
 
 // Fault classifies one delivery-loop event for telemetry hooks.
 type Fault int

@@ -14,14 +14,13 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/deploy"
-	"insitu/internal/jigsaw"
 	"insitu/internal/netsim"
 	"insitu/internal/wire"
 )
 
 // The node half of the wire deployment: an Agent is what an
 // insitu-node process runs against a cloud's Listen. It reconstructs
-// the exact fleetNode a local worker would have been — same Config
+// the exact core.Node a shard worker would have built — same Config
 // fields, same seed derivations — so the cloud's RoundReports cannot
 // tell the transports apart.
 //
@@ -37,7 +36,7 @@ import (
 // Agent holds one node's identity and state across connections.
 type Agent struct {
 	wantID int
-	node   *fleetNode
+	node   *core.Node
 	// epoch is the session epoch from the last Welcome; sent in every
 	// Hello so the cloud can tell a surviving process (epoch matches —
 	// just re-attach) from a restarted one (rebuild via state restore).
@@ -100,11 +99,9 @@ func (a *Agent) Serve(conn net.Conn) error {
 		return err
 	}
 	if a.node == nil {
-		cfg := nodeConfigFromWire(w.Cfg)
-		a.node = newFleetNode(cfg, int(w.Node), w.Cfg.Outage,
-			jigsaw.NewPermSet(cfg.PermClasses, cfg.Seed+1))
-	} else if a.node.id != int(w.Node) {
-		return fmt.Errorf("fleet: cloud moved this agent from node %d to %d mid-run", a.node.id, int(w.Node))
+		a.node = core.NewNode(nodeConfig(nodeConfigFromWire(w.Cfg), int(w.Node), w.Cfg.Outage))
+	} else if a.node.ID() != int(w.Node) {
+		return fmt.Errorf("fleet: cloud moved this agent from node %d to %d mid-run", a.node.ID(), int(w.Node))
 	}
 	a.epoch = w.Epoch
 	stop := make(chan struct{})
@@ -144,7 +141,7 @@ func nodeConfigFromWire(w wire.NodeConfig) Config {
 func (a *Agent) handshake(conn net.Conn) (wire.Welcome, error) {
 	want := a.wantID
 	if a.node != nil {
-		want = a.node.id // identity is pinned after the first session
+		want = a.node.ID() // identity is pinned after the first session
 	}
 	h := wire.Hello{Node: int32(want), MinProto: wire.ProtoMin, MaxProto: wire.ProtoMax, Epoch: a.epoch}
 	hello, err := wire.EncodeFrame(wire.ProtoMax, wire.MsgHello, h.Encode())
@@ -293,24 +290,21 @@ func (a *Agent) serve(conn net.Conn, proto uint8) error {
 			if derr != nil {
 				return fmt.Errorf("fleet: decoding capture: %w", derr)
 			}
-			msg := n.capture(workerCmd{
-				kind: cmdCapture, round: int(c.Round), n: int(c.N), bootstrap: c.Bootstrap,
-			}, nil)
-			up := msg.up
+			up := n.Capture(int(c.N), c.Bootstrap)
 			u := wire.Upload{
 				Round:                 c.Round,
-				Captured:              uint32(up.captured),
-				Uploaded:              uint32(up.uploaded),
-				CalibN:                uint32(up.calibN),
-				UpBytes:               up.upBytes,
-				UplinkJ:               up.uplinkJ,
-				UplinkS:               up.uplinkS,
-				Failed:                up.failed,
-				QualityUploadFraction: up.quality.UploadFraction,
-				QualityErrorRecall:    up.quality.ErrorRecall,
-				QualityPrecision:      up.quality.Precision,
-				Samples:               up.samples,
-				Calib:                 up.calib,
+				Captured:              uint32(up.Captured),
+				Uploaded:              uint32(up.Uploaded),
+				CalibN:                uint32(up.CalibN),
+				UpBytes:               up.UpBytes,
+				UplinkJ:               up.UplinkJ,
+				UplinkS:               up.UplinkS,
+				Failed:                up.Failed,
+				QualityUploadFraction: up.Quality.UploadFraction,
+				QualityErrorRecall:    up.Quality.ErrorRecall,
+				QualityPrecision:      up.Quality.Precision,
+				Samples:               up.Samples,
+				Calib:                 up.Calib,
 			}
 			pl, derr := u.Encode()
 			if derr != nil {
@@ -331,18 +325,17 @@ func (a *Agent) serve(conn net.Conn, proto uint8) error {
 			if derr != nil {
 				return fmt.Errorf("fleet: decoding bundle: %w", derr)
 			}
-			msg := n.deploy(workerCmd{kind: cmdDeploy, round: int(dp.Round), bundle: bundle})
-			d := msg.dep
+			d := n.Deploy(bundle)
 			r := wire.DeployResult{
 				Round:       dp.Round,
-				Bytes:       d.res.Bytes,
-				Attempts:    uint32(d.res.Attempts),
-				Retransmits: d.res.Retransmits,
-				Backoff:     d.res.Backoff,
-				Version:     d.res.Version,
-				Failed:      d.res.Failed,
-				NodeVersion: d.version,
-				Accuracy:    d.accuracy,
+				Bytes:       d.Bytes,
+				Attempts:    uint32(d.Attempts),
+				Retransmits: d.Retransmits,
+				Backoff:     d.Backoff,
+				Version:     d.Version,
+				Failed:      d.Failed,
+				NodeVersion: d.Version,
+				Accuracy:    d.Accuracy,
 			}
 			if err := respond(t, wire.MsgDeployResult, disc, r.Encode()); err != nil {
 				return err
@@ -355,7 +348,7 @@ func (a *Agent) serve(conn net.Conn, proto uint8) error {
 			if derr != nil {
 				return fmt.Errorf("fleet: decoding state-save: %w", derr)
 			}
-			data, serr := n.stateBytes()
+			data, serr := stateBytes(n)
 			if serr != nil {
 				return fmt.Errorf("fleet: serializing node state: %w", serr)
 			}
@@ -368,7 +361,7 @@ func (a *Agent) serve(conn net.Conn, proto uint8) error {
 				return fmt.Errorf("fleet: decoding state-load: %w", derr)
 			}
 			errText := ""
-			if lerr := n.loadStateBytes(blob); lerr != nil {
+			if lerr := n.LoadState(bytes.NewReader(blob)); lerr != nil {
 				errText = lerr.Error()
 			} else {
 				// The restored blob rewinds the node to a round boundary;

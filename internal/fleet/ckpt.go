@@ -3,35 +3,30 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"insitu/internal/ckpt"
-	"insitu/internal/dataset"
-	"insitu/internal/models"
-	"insitu/internal/nn"
+	"insitu/internal/core"
 	"insitu/internal/telemetry"
 )
 
 // Crash-safe persistence of the fleet. Checkpoint serializes the
-// complete mutable state — the server's networks, optimizer momentum,
-// replay pool, RNG positions and thresholds, plus every node's deployed
-// networks, generator/diagnosis RNGs, meter and link positions — so a
-// killed fleet run resumes and finishes with round reports
-// byte-identical to an uninterrupted run's. Checkpoints are only taken
+// complete mutable state — the server's half through cloud.Server's
+// codec, every node's through core.Node's — so a killed fleet run
+// resumes and finishes with round reports byte-identical to an
+// uninterrupted run's. Checkpoints are only taken
 // at round boundaries, where the workers are quiesced (the
 // round-synchronous protocol guarantees no command is in flight), so no
 // node state can be mid-mutation. Config.RoundTimeout must be 0 when
 // checkpointing: an abandoned straggler could still be running.
 
 const (
-	// ckptMagic 0002: fingerprint grew MaxCalibSamples and EvalSamples
-	// (both behavior-affecting); the magic bump rejects 0001 blobs with a
-	// clear error instead of a garbled fingerprint mismatch.
-	ckptMagic    = "ISFL0002"
+	// ckptMagic 0003: the server section is cloud.Server's own codec and
+	// the fingerprint grew InSituFrac and Severity; the bump makes a 0002
+	// snapshot fail on its magic instead of mis-decoding.
+	ckptMagic    = "ISFL0003"
 	historyMagic = "ISFH0001"
 	// telemetryMagic frames the registry snapshot that rides between the
 	// history and the fleet state, so windowed percentile state survives
@@ -40,71 +35,42 @@ const (
 )
 
 // ErrConfigMismatch is returned by Resume when the checkpoint was taken
-// under an incompatible configuration.
-var ErrConfigMismatch = errors.New("fleet: checkpoint config mismatch")
+// under an incompatible configuration. It is core's sentinel: a node
+// refusing a state blob and the fleet refusing a fingerprint are the
+// same failure.
+var ErrConfigMismatch = core.ErrConfigMismatch
 
 // fingerprint lists the identity-defining configuration as u64s.
 // Behavior-affecting knobs only: Shards, BatchSize, BatchWait and
 // MaxLiveNodes are deliberately absent, because reports are
 // byte-identical across their settings — a checkpoint taken at shards=1
-// must resume at shards=16.
+// must resume at shards=16. InSituFrac and Severity are in: the fleet
+// has no way to change either mid-run, and its nodes (remote ones are
+// configured at the handshake, before any Restore) keep the caller's
+// values, so a snapshot from another environment must not load.
 func (f *Fleet) fingerprint() []uint64 {
 	return []uint64{
 		uint64(f.Cfg.Kind), uint64(f.Cfg.Classes), uint64(f.Cfg.PermClasses),
 		uint64(f.Cfg.SharedConvs), uint64(f.Cfg.Probes), f.Cfg.Seed,
 		uint64(f.Cfg.Nodes), uint64(f.Cfg.MaxRoundSamples),
 		uint64(f.Cfg.MaxCalibSamples), uint64(f.Cfg.EvalSamples),
+		math.Float64bits(f.Cfg.InSituFrac), math.Float64bits(f.Cfg.Severity),
 	}
 }
 
-// Checkpoint writes the fleet's complete mutable state to w. Call only
-// between rounds (never while a round is in flight).
+// Checkpoint writes the fleet's complete mutable state to w: the round,
+// the server's half (cloud.Server.Save) and every node's state blob.
+// Call only between rounds (never while a round is in flight).
 func (f *Fleet) Checkpoint(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(ckptMagic); err != nil {
 		return err
 	}
-	if err := ckpt.WriteU64s(bw, f.fingerprint()...); err != nil {
+	if err := ckpt.WriteU64s(bw, append(f.fingerprint(), uint64(f.round))...); err != nil {
 		return err
 	}
-	// Progression and environment.
-	if err := ckpt.WriteU64s(bw,
-		uint64(f.round), uint64(f.cloudVersion),
-		math.Float64bits(f.Cfg.Severity), math.Float64bits(f.Cfg.InSituFrac),
-	); err != nil {
+	if err := f.cloud.Save(bw); err != nil {
 		return err
-	}
-	// Server RNG positions and runtime-mutated hyperparameters.
-	if err := ckpt.WriteU64s(bw,
-		f.jigTr.RNGState(), f.rng.State(), f.cloudDiag.RNGState(),
-		uint64(math.Float32bits(f.jigTr.Opt.LR)),
-		math.Float64bits(f.cloudDiag.Threshold()),
-	); err != nil {
-		return err
-	}
-	// Server networks and optimizer momentum.
-	for _, net := range []*nn.Network{f.cloudInfer, f.cloudJig} {
-		if err := ckpt.WriteBlob(bw, net.SaveWeights); err != nil {
-			return err
-		}
-		if err := ckpt.WriteBlob(bw, net.SaveLayerState); err != nil {
-			return err
-		}
-	}
-	if err := ckpt.WriteBlob(bw, func(w io.Writer) error {
-		return f.jigTr.Opt.SaveState(w, f.cloudJig.Params())
-	}); err != nil {
-		return err
-	}
-	// The server's replay pool.
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(f.cloudData))); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*models.ImgChannels*models.ImgSize*models.ImgSize)
-	for _, smp := range f.cloudData {
-		if err := dataset.WriteSample(bw, smp, buf); err != nil {
-			return err
-		}
 	}
 	// Every node's state as one framed blob, in id order. The blob comes
 	// back through the peer (local worker or remote process over
@@ -168,7 +134,7 @@ func (f *Fleet) Restore(r io.Reader) error {
 	}
 
 	want := f.fingerprint()
-	got := make([]uint64, len(want))
+	got := make([]uint64, len(want)+1)
 	if err := ckpt.ReadU64s(br, got); err != nil {
 		return err
 	}
@@ -178,55 +144,13 @@ func (f *Fleet) Restore(r io.Reader) error {
 				ErrConfigMismatch, i, got[i], want[i])
 		}
 	}
-	prog := make([]uint64, 4)
-	if err := ckpt.ReadU64s(br, prog); err != nil {
+	f.round = int(int64(got[len(want)]))
+	if err := f.cloud.Load(br); err != nil {
 		return err
-	}
-	f.round = int(int64(prog[0]))
-	f.cloudVersion = uint32(prog[1])
-	f.Cfg.Severity = math.Float64frombits(prog[2])
-	f.Cfg.InSituFrac = math.Float64frombits(prog[3])
-
-	srv := make([]uint64, 5)
-	if err := ckpt.ReadU64s(br, srv); err != nil {
-		return err
-	}
-	f.jigTr.SetRNGState(srv[0])
-	f.rng.SetState(srv[1])
-	f.cloudDiag.SetRNGState(srv[2])
-	f.jigTr.Opt.LR = math.Float32frombits(uint32(srv[3]))
-	f.cloudDiag.SetThreshold(math.Float64frombits(srv[4]))
-
-	for _, net := range []*nn.Network{f.cloudInfer, f.cloudJig} {
-		if err := ckpt.ReadBlob(br, net.LoadWeights); err != nil {
-			return fmt.Errorf("fleet: restoring server weights: %w", err)
-		}
-		if err := ckpt.ReadBlob(br, net.LoadLayerState); err != nil {
-			return fmt.Errorf("fleet: restoring server layer state: %w", err)
-		}
-	}
-	if err := ckpt.ReadBlob(br, func(r io.Reader) error {
-		return f.jigTr.Opt.LoadState(r, f.cloudJig.Params())
-	}); err != nil {
-		return fmt.Errorf("fleet: restoring optimizer: %w", err)
-	}
-
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*models.ImgChannels*models.ImgSize*models.ImgSize)
-	f.cloudData = make([]dataset.Sample, 0, count)
-	for i := uint32(0); i < count; i++ {
-		smp, err := dataset.ReadSample(br, buf)
-		if err != nil {
-			return fmt.Errorf("fleet: restoring replay sample %d: %w", i, err)
-		}
-		f.cloudData = append(f.cloudData, smp)
 	}
 
 	// Each node's blob goes back through its peer: the owning goroutine
-	// (or remote process) applies it via loadState, which also checks
+	// (or remote process) applies it via LoadState, which also checks
 	// link topology and finiteness of the node nets.
 	for _, p := range f.peers {
 		var data []byte
@@ -246,21 +170,12 @@ func (f *Fleet) Restore(r io.Reader) error {
 			rp.setBlob(data)
 		}
 	}
-
-	// A checkpoint that decodes cleanly can still carry a poisoned
-	// model; refuse to bring it back to life. (Node nets were already
-	// checked inside each node's loadState.)
-	for _, net := range []*nn.Network{f.cloudInfer, f.cloudJig} {
-		if err := net.CheckFinite(); err != nil {
-			return fmt.Errorf("fleet: refusing to resume: %w", err)
-		}
-	}
 	return nil
 }
 
 // Checkpointer persists a Fleet plus its round-report history and
 // (when a registry is attached) the telemetry snapshot on a fixed
-// cadence — the fleet analogue of node.Checkpointer.
+// cadence.
 type Checkpointer struct {
 	Store *ckpt.Store
 	// Every is the snapshot cadence in rounds (1 = after every round).

@@ -30,21 +30,12 @@ import (
 	"insitu/internal/cloud"
 	"insitu/internal/core"
 	"insitu/internal/dataset"
-	"insitu/internal/deploy"
 	"insitu/internal/diagnosis"
 	"insitu/internal/health"
-	"insitu/internal/jigsaw"
 	"insitu/internal/models"
 	"insitu/internal/netsim"
-	"insitu/internal/nn"
 	"insitu/internal/telemetry"
-	"insitu/internal/tensor"
-	"insitu/internal/train"
-	"insitu/internal/transfer"
 )
-
-// deployBackoffBase mirrors core's redelivery backoff (0.5 s, doubling).
-const deployBackoffBase = 0.5
 
 // Config parameterizes a fleet simulation.
 type Config struct {
@@ -71,7 +62,7 @@ type Config struct {
 	// the transmit energy) — there is no uplink retry budget.
 	UplinkFaults netsim.FaultConfig
 	// DownlinkFaults likewise for the deploy path (retried per
-	// DeployRetries, exactly like core).
+	// DeployRetries).
 	DownlinkFaults netsim.FaultConfig
 	// OutageNodes lists node ids whose links (both directions) are
 	// permanently dark — they keep capturing and evaluating but nothing
@@ -155,7 +146,7 @@ type Config struct {
 	Health *health.Tracker
 }
 
-// DefaultConfig mirrors core.DefaultConfig for an N-node fleet.
+// DefaultConfig is core.DefaultConfig for an N-node fleet.
 func DefaultConfig(kind core.SystemKind, nodes int, seed uint64) Config {
 	return Config{
 		Nodes:         nodes,
@@ -233,17 +224,10 @@ type RoundReport struct {
 type Fleet struct {
 	Cfg Config
 
-	// Server-side state (touched only between worker phases).
-	cloudInfer   *nn.Network
-	cloudJig     *nn.Network
-	cloudDiag    *diagnosis.JigsawDiagnoser
-	permSet      *jigsaw.PermSet
-	jigTr        *jigsaw.Trainer
-	diagSpec     models.NetSpec
-	cloudData    []dataset.Sample
-	rng          *tensor.RNG
-	cloudVersion uint32
-	round        int
+	// cloud is the server's half of the loop (touched only between
+	// worker phases).
+	cloud *cloud.Server
+	round int
 
 	peers []peer
 	// ingest coalesces every node response (local shard workers and
@@ -283,19 +267,21 @@ type Fleet struct {
 // newServer builds the Cloud half of a fleet — everything except the
 // node peers, which New (in-process) and Listen (wire) attach.
 func newServer(cfg Config) *Fleet {
-	if cfg.Nodes < 1 || cfg.Classes < 2 || cfg.PermClasses < 2 {
+	if cfg.Nodes < 1 {
 		panic("fleet: bad config")
 	}
 	f := &Fleet{
-		Cfg:        cfg,
-		permSet:    jigsaw.NewPermSet(cfg.PermClasses, cfg.Seed+1),
-		cloudJig:   jigsaw.NewNet(cfg.PermClasses, cfg.Seed+2),
-		cloudInfer: models.TinyAlex(cfg.Classes, cfg.Seed+3),
-		diagSpec:   models.DiagnosisSpec(cfg.FullScaleSpec, 100),
-		rng:        tensor.NewRNG(cfg.Seed + 4),
+		Cfg: cfg,
+		cloud: cloud.NewServer(cloud.Config{
+			Classes:       cfg.Classes,
+			PermClasses:   cfg.PermClasses,
+			SharedConvs:   cfg.SharedConvs,
+			Probes:        cfg.Probes,
+			Seed:          cfg.Seed,
+			FullScaleSpec: cfg.FullScaleSpec,
+			Cost:          cfg.Cost,
+		}),
 	}
-	f.jigTr = jigsaw.NewTrainer(f.cloudJig, f.permSet, 0.01, cfg.Seed+5)
-	f.cloudDiag = diagnosis.NewJigsawDiagnoser(f.cloudJig, f.permSet, cfg.Probes, cfg.Seed+6)
 	f.outage = f.outageSet()
 	depth := cfg.QueueDepth
 	if depth <= 0 {
@@ -408,7 +394,7 @@ func (f *Fleet) Round() int { return f.round }
 func (f *Fleet) WallSeconds() float64 { return f.wall }
 
 // CloudVersion returns the latest bundle version the server published.
-func (f *Fleet) CloudVersion() uint32 { return f.cloudVersion }
+func (f *Fleet) CloudVersion() uint32 { return f.cloud.Version() }
 
 // Health returns the fleet's health tracker (nil when none configured).
 func (f *Fleet) Health() *health.Tracker { return f.Cfg.Health }
@@ -426,20 +412,7 @@ func (f *Fleet) Bootstrap(n int) RoundReport {
 	expected := f.broadcast(workerCmd{kind: cmdCapture, round: 0, n: n, bootstrap: true}, parked)
 	ups, lats := f.collectUploads(0, expected, start, parked)
 	admitted, trainSet, _ := f.admit(ups)
-
-	if len(trainSet) > 0 {
-		f.trainJigsaw(trainSet, 0)
-		if _, err := transfer.FromUnsupervised(f.cloudInfer, f.cloudJig, f.Cfg.SharedConvs); err != nil {
-			panic(fmt.Sprintf("fleet: transfer failed: %v", err))
-		}
-		cfg := train.DefaultConfig(core.StepsFor(len(trainSet)))
-		train.Run(f.cloudInfer, trainSet, cfg, 0)
-		errRate := 1 - train.Evaluate(f.cloudInfer, trainSet)
-		diagnosis.Calibrate(f.cloudDiag, trainSet, core.CalibTarget(errRate))
-	}
-	// Incremental rounds use the gentler update rate, like core.
-	f.jigTr.Opt.LR = 0.005
-
+	f.cloud.Bootstrap(trainSet)
 	rep := f.deployRound(0, ups, admitted, len(trainSet), 0, lats, parked)
 	f.round = 1
 	f.saveSessions()
@@ -465,30 +438,10 @@ func (f *Fleet) RunRound(n int) RoundReport {
 	if f.Cfg.Kind.UsesWeightSharing() {
 		locked = f.Cfg.SharedConvs
 	}
-	if f.Cfg.Kind == core.SystemCloudDiagnosis {
-		// Cloud-side diagnosis: the filter runs after the move, on the
-		// server's own diagnoser (the node copies may lag a deploy).
-		_, unrecognized := diagnosis.Split(f.cloudDiag, trainSet)
-		trainSet = unrecognized
-	}
-	if len(trainSet) > 0 {
-		f.trainJigsaw(trainSet, locked)
-		mixed := f.withReplay(trainSet)
-		cfg := train.DefaultConfig(core.StepsFor(len(mixed)))
-		cfg.LR = 0.005
-		transfer.FineTune(f.cloudInfer, mixed, cfg, locked)
-	}
-	if len(calibs) > 0 {
-		// Recalibrate on the calibration samples pooled across nodes,
-		// EMA-blended like core so one noisy node cannot swing the
-		// fleet-wide upload budget.
-		errRate := 1 - train.Evaluate(f.cloudInfer, calibs)
-		prev := f.cloudDiag.Threshold()
-		diagnosis.Calibrate(f.cloudDiag, calibs, core.CalibTarget(errRate))
-		f.cloudDiag.SetThreshold(0.5*prev + 0.5*f.cloudDiag.Threshold())
-	}
-
-	rep := f.deployRound(round, ups, admitted, len(trainSet), locked, lats, parked)
+	// ONE retrain on the aggregate, recalibrated on the calibration
+	// samples pooled across nodes.
+	trained := f.cloud.Update(trainSet, calibs, locked, f.Cfg.Kind == core.SystemCloudDiagnosis)
+	rep := f.deployRound(round, ups, admitted, trained, locked, lats, parked)
 	f.round++
 	f.saveSessions()
 	f.wall += time.Since(start).Seconds()
@@ -615,8 +568,8 @@ const trimEvery = 128
 // responses stream in it incrementally trims each node's samples to the
 // most the admission caps could ever grant it, so the server's resident
 // upload pool is O(cap), not O(N), by the time admit runs.
-func (f *Fleet) collectUploads(round int, expected map[int]bool, start time.Time, parked map[int]bool) ([]*uploadData, map[int]float64) {
-	ups := make([]*uploadData, len(f.peers))
+func (f *Fleet) collectUploads(round int, expected map[int]bool, start time.Time, parked map[int]bool) ([]*core.Upload, map[int]float64) {
+	ups := make([]*core.Upload, len(f.peers))
 	arrivals := 0
 	_, lats := f.collect(cmdCapture, round, expected, start, parked, func(m roundMsg) {
 		up := m.up
@@ -635,51 +588,51 @@ func (f *Fleet) collectUploads(round int, expected map[int]bool, start time.Time
 // cannot change admit's output. Trimmed slices are copied so the freed
 // tail tensors are actually collectable (a re-slice would pin the whole
 // backing array).
-func (f *Fleet) trimPending(ups []*uploadData) {
+func (f *Fleet) trimPending(ups []*core.Upload) {
 	remSamples := f.Cfg.MaxRoundSamples
 	remCalib := f.Cfg.MaxCalibSamples
 	for _, up := range ups {
 		if up == nil {
 			continue
 		}
-		if up.failed {
-			up.samples, up.calib = nil, nil
+		if up.Failed {
+			up.Samples, up.Calib = nil, nil
 			continue
 		}
 		if f.Cfg.MaxRoundSamples > 0 {
-			take := len(up.samples)
+			take := len(up.Samples)
 			if take > remSamples {
 				take = remSamples
-				up.samples = append([]dataset.Sample(nil), up.samples[:take]...)
+				up.Samples = append([]dataset.Sample(nil), up.Samples[:take]...)
 			}
 			remSamples -= take
 		}
 		if f.Cfg.MaxCalibSamples > 0 {
-			take := len(up.calib)
+			take := len(up.Calib)
 			if take > remCalib {
 				take = remCalib
-				up.calib = append([]dataset.Sample(nil), up.calib[:take]...)
+				up.Calib = append([]dataset.Sample(nil), up.Calib[:take]...)
 			}
 			remCalib -= take
 		}
 	}
 }
 
-// admit applies the per-round admission cap in node-id order, pools the
-// admitted samples into the replay pool and returns the per-node
-// admitted counts, the round's training set and the pooled calibration
-// samples. Failed or timed-out nodes contribute nothing.
-func (f *Fleet) admit(ups []*uploadData) (admitted []int, trainSet, calibs []dataset.Sample) {
+// admit applies the per-round admission cap in node-id order and
+// returns the per-node admitted counts, the round's training set and the
+// pooled calibration samples. Failed or timed-out nodes contribute
+// nothing.
+func (f *Fleet) admit(ups []*core.Upload) (admitted []int, trainSet, calibs []dataset.Sample) {
 	admitted = make([]int, len(ups))
 	unlimited := f.Cfg.MaxRoundSamples <= 0
 	remaining := f.Cfg.MaxRoundSamples
 	calibUnlimited := f.Cfg.MaxCalibSamples <= 0
 	calibRemaining := f.Cfg.MaxCalibSamples
 	for id, up := range ups {
-		if up == nil || up.failed {
+		if up == nil || up.Failed {
 			continue
 		}
-		take := len(up.samples)
+		take := len(up.Samples)
 		if !unlimited {
 			if take > remaining {
 				take = remaining
@@ -687,17 +640,16 @@ func (f *Fleet) admit(ups []*uploadData) (admitted []int, trainSet, calibs []dat
 			remaining -= take
 		}
 		admitted[id] = take
-		trainSet = append(trainSet, up.samples[:take]...)
-		ctake := len(up.calib)
+		trainSet = append(trainSet, up.Samples[:take]...)
+		ctake := len(up.Calib)
 		if !calibUnlimited {
 			if ctake > calibRemaining {
 				ctake = calibRemaining
 			}
 			calibRemaining -= ctake
 		}
-		calibs = append(calibs, up.calib[:ctake]...)
+		calibs = append(calibs, up.Calib[:ctake]...)
 	}
-	f.cloudData = append(f.cloudData, trainSet...)
 	return admitted, trainSet, calibs
 }
 
@@ -705,9 +657,8 @@ func (f *Fleet) admit(ups []*uploadData) (admitted []int, trainSet, calibs []dat
 // over its own downlink, collects the per-node outcomes and assembles
 // the round report. admitLats carries the capture phase's wall-clock
 // arrival latencies for the health plane.
-func (f *Fleet) deployRound(round int, ups []*uploadData, admitted []int, trained, locked int, admitLats map[int]float64, parked map[int]bool) RoundReport {
-	f.cloudVersion++
-	bundle, err := deploy.Pack(f.cloudVersion, f.cloudInfer, f.cloudJig, f.cloudDiag.Threshold())
+func (f *Fleet) deployRound(round int, ups []*core.Upload, admitted []int, trained, locked int, admitLats map[int]float64, parked map[int]bool) RoundReport {
+	bundle, err := f.cloud.Pack()
 	if err != nil {
 		panic(fmt.Sprintf("fleet: packing deployment: %v", err))
 	}
@@ -725,7 +676,7 @@ func (f *Fleet) deployRound(round int, ups []*uploadData, admitted []int, traine
 	rep := RoundReport{
 		Round:        round,
 		Kind:         f.Cfg.Kind,
-		CloudVersion: f.cloudVersion,
+		CloudVersion: f.cloud.Version(),
 		Nodes:        make([]NodeReport, len(f.peers)),
 	}
 	uploaders := 0
@@ -738,33 +689,33 @@ func (f *Fleet) deployRound(round int, ups []*uploadData, admitted []int, traine
 		}
 		if up := ups[id]; up != nil {
 			nr.TimedOut = false
-			nr.Captured = up.captured
-			nr.Uploaded = up.uploaded
-			nr.CalibUploaded = up.calibN
-			nr.UploadedBytes = up.upBytes
-			if up.captured > 0 {
-				nr.UploadFrac = float64(up.uploaded) / float64(up.captured)
+			nr.Captured = up.Captured
+			nr.Uploaded = up.Uploaded
+			nr.CalibUploaded = up.CalibN
+			nr.UploadedBytes = up.UpBytes
+			if up.Captured > 0 {
+				nr.UploadFrac = float64(up.Uploaded) / float64(up.Captured)
 			}
-			nr.UplinkJoules = up.uplinkJ
-			nr.UplinkSeconds = up.uplinkS
-			nr.UploadFailed = up.failed
-			nr.DiagnosisQuality = up.quality
+			nr.UplinkJoules = up.UplinkJ
+			nr.UplinkSeconds = up.UplinkS
+			nr.UploadFailed = up.Failed
+			nr.DiagnosisQuality = up.Quality
 			nr.Admitted = admitted[id]
-			if !up.failed {
-				rep.Uploaded += up.uploaded
+			if !up.Failed {
+				rep.Uploaded += up.Uploaded
 				uploaders++
 			}
 		}
 		if m, ok := deps[id]; ok {
 			d := m.dep
-			nr.NodeAccuracy = d.accuracy
-			nr.ModelVersion = d.version
-			nr.DeployAttempts = d.res.Attempts
-			nr.DeployFailed = d.res.Failed
-			nr.StaleModel = d.version < f.cloudVersion
-			nr.RetransmitBytes = d.res.Retransmits
-			nr.DeployBackoffSeconds = d.res.Backoff
-			accSum += d.accuracy
+			nr.NodeAccuracy = d.Accuracy
+			nr.ModelVersion = d.Version
+			nr.DeployAttempts = d.Attempts
+			nr.DeployFailed = d.Failed
+			nr.StaleModel = d.Version < f.cloud.Version()
+			nr.RetransmitBytes = d.Retransmits
+			nr.DeployBackoffSeconds = d.Backoff
+			accSum += d.Accuracy
 			accN++
 		} else if !parked[id] {
 			nr.TimedOut = true
@@ -774,17 +725,16 @@ func (f *Fleet) deployRound(round int, ups []*uploadData, admitted []int, traine
 	}
 	rep.Trained = trained
 	if trained > 0 {
-		rep.CloudCost = f.Cfg.Cost.PretrainCost(f.diagSpec, trained, locked)
-		rep.CloudCost.Add(f.Cfg.Cost.UpdateCost(f.Cfg.FullScaleSpec, trained, locked))
+		pre, update := f.cloud.Costs(trained, locked)
+		rep.CloudCost = pre
+		rep.CloudCost.Add(update)
 		if uploaders > 0 {
 			// Each uploader's share of the single aggregated retrain.
-			share := f.Cfg.Cost.AmortizedUpdateCost(f.Cfg.FullScaleSpec, trained, locked, uploaders)
-			pre := f.Cfg.Cost.PretrainCost(f.diagSpec, trained, locked)
-			share.Add(cloud.Cost{
-				Seconds: pre.Seconds / float64(uploaders),
-				Joules:  pre.Joules / float64(uploaders),
-			})
-			rep.PerNodeCloudCost = share
+			u := float64(uploaders)
+			rep.PerNodeCloudCost = cloud.Cost{
+				Seconds: update.Seconds/u + pre.Seconds/u,
+				Joules:  update.Joules/u + pre.Joules/u,
+			}
 		}
 	}
 	if accN > 0 {
@@ -793,43 +743,4 @@ func (f *Fleet) deployRound(round int, ups []*uploadData, admitted []int, traine
 	f.record(rep)
 	f.recordHealth(rep, admitLats, deps)
 	return rep
-}
-
-// trainJigsaw mirrors core.System's incremental unsupervised update on
-// the server's network.
-func (f *Fleet) trainJigsaw(samples []dataset.Sample, locked int) {
-	images := make([]*tensor.Tensor, len(samples))
-	for i, smp := range samples {
-		images[i] = smp.Image
-	}
-	prefixes := transfer.ConvPrefixes(locked)
-	if locked > 0 && f.round > 0 {
-		f.cloudJig.FreezeLayers(prefixes...)
-	}
-	steps := core.StepsFor(len(images))
-	const batch = 16
-	for step := 0; step < steps; step++ {
-		i0 := (step * batch) % len(images)
-		end := i0 + batch
-		if end > len(images) {
-			end = len(images)
-		}
-		f.jigTr.Step(images[i0:end])
-	}
-	if locked > 0 && f.round > 0 {
-		f.cloudJig.UnfreezeLayers(prefixes...)
-	}
-}
-
-// withReplay mixes the fresh aggregate with an equal-sized random
-// sample of the server's accumulated pool.
-func (f *Fleet) withReplay(fresh []dataset.Sample) []dataset.Sample {
-	out := append([]dataset.Sample(nil), fresh...)
-	if len(f.cloudData) == 0 {
-		return out
-	}
-	for i := 0; i < len(fresh); i++ {
-		out = append(out, f.cloudData[f.rng.Intn(len(f.cloudData))])
-	}
-	return out
 }

@@ -2,13 +2,17 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"insitu/internal/ckpt"
 	"insitu/internal/core"
+	"insitu/internal/dataset"
 	"insitu/internal/netsim"
 )
 
@@ -251,12 +255,52 @@ func TestFleetResumeConfigMismatch(t *testing.T) {
 		"classes": func(c *Config) { c.Classes = 4 },
 		"seed":    func(c *Config) { c.Seed++ },
 		"cap":     func(c *Config) { c.MaxRoundSamples = 7 },
+		// The environment is part of the identity: nodes keep the
+		// caller's values, so the server must not adopt the snapshot's.
+		"in-situ":  func(c *Config) { c.InSituFrac = 0.3 },
+		"severity": func(c *Config) { c.Severity = 0.2 },
 	} {
 		bad := cfg
 		mutate(&bad)
 		if _, err := Resume(bad, bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrConfigMismatch) {
 			t.Fatalf("%s: Resume error = %v, want ErrConfigMismatch", name, err)
 		}
+	}
+}
+
+// Resume takes any reader, so everything in the stream is untrusted: a
+// replay-pool count patched far beyond the samples that follow must run
+// into the end of the stream (not ask the allocator for ~96 GiB), and a
+// snapshot in the previous layout must fail on its magic.
+func TestFleetResumeRejectsDamagedStreams(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(2)
+	f := New(cfg)
+	pool := f.Bootstrap(24).Admitted
+	var buf bytes.Buffer
+	if err := f.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The pool closes the server section; the framed node blobs follow.
+	at := buf.Len() - pool*(16+int(dataset.ImageBytes)) - 4
+	for _, p := range f.peers {
+		at -= 8 + len(peerState(p, workerCmd{kind: cmdStateSave}).data)
+	}
+	f.Close()
+
+	raw := buf.Bytes()
+	if got := binary.LittleEndian.Uint32(raw[at:]); int(got) != pool {
+		t.Fatalf("pool count at offset %d reads %d, want %d", at, got, pool)
+	}
+	huge := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(huge[at:], math.MaxUint32)
+	if _, err := Resume(cfg, bytes.NewReader(huge)); err == nil {
+		t.Error("Resume accepted a pool count far beyond the stream")
+	}
+
+	copy(raw, "ISFL0002")
+	if _, err := Resume(cfg, bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
+		t.Errorf("Resume of an ISFL0002 stream: %v, want a bad-magic error", err)
 	}
 }
 

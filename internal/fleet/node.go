@@ -1,37 +1,63 @@
 package fleet
 
 import (
+	"bytes"
 	"time"
 
-	"insitu/internal/dataset"
+	"insitu/internal/core"
 	"insitu/internal/deploy"
-	"insitu/internal/diagnosis"
-	"insitu/internal/jigsaw"
-	"insitu/internal/models"
 	"insitu/internal/netsim"
-	"insitu/internal/nn"
-	"insitu/internal/train"
 )
 
-// One simulated in-situ node: its own dataset shard (a per-node seeded
-// generator), its own copies of the deployed networks and diagnoser, an
-// uplink meter, and seeded lossy links in both directions. A node's
-// state is touched only by one goroutine while a command is in flight
-// and only by the server between phases — the round-synchronous protocol
-// is the synchronization. The same struct backs both deployment shapes:
-// in-process (a local worker goroutine) and remote (an insitu-node
-// process driven by RunAgent over the wire protocol); everything a node
-// derives comes from (Config, id, outage), so the two are bit-identical.
+// The fleet's nodes are core.Node values, one per id. A node's state is
+// touched only by one goroutine while a command is in flight and only by
+// the server between phases — the round-synchronous protocol is the
+// synchronization. The same type backs both deployment shapes:
+// in-process (a shard worker) and remote (an insitu-node process driven
+// by RunAgent over the wire protocol); everything a node derives comes
+// from (Config, id, outage), so the two are bit-identical.
 
-// Per-node seed derivation offsets. The server uses Seed+1…Seed+6
-// (mirroring core); nodes derive from disjoint ranges so no stream is
-// shared across goroutines.
+// Per-node seed derivation offsets. The server's streams sit at
+// Seed+1…Seed+6 (cloud.Config); nodes derive from disjoint ranges so no
+// stream is shared across goroutines.
 const (
 	seedOffGen      = 101 // + id*131: dataset shard
 	seedOffUplink   = 301 // + id: uplink fault dice
 	seedOffDownlink = 401 // + id: downlink fault dice
 	seedOffDiag     = 601 // + id: diagnosis probe picks
 )
+
+// nodeConfig derives node id's configuration from the fleet's.
+func nodeConfig(cfg Config, id int, outage bool) core.NodeConfig {
+	return core.NodeConfig{
+		ID:            id,
+		Kind:          cfg.Kind,
+		Classes:       cfg.Classes,
+		PermClasses:   cfg.PermClasses,
+		Probes:        cfg.Probes,
+		Seed:          cfg.Seed,
+		GenSeed:       cfg.Seed + seedOffGen + uint64(id)*131,
+		DiagSeed:      cfg.Seed + seedOffDiag + uint64(id),
+		InSituFrac:    cfg.InSituFrac,
+		Severity:      cfg.Severity,
+		Link:          cfg.Link,
+		Uplink:        nodeFaults(cfg.UplinkFaults, cfg.Seed+seedOffUplink+uint64(id), outage),
+		Downlink:      nodeFaults(cfg.DownlinkFaults, cfg.Seed+seedOffDownlink+uint64(id), outage),
+		DeployRetries: cfg.DeployRetries,
+		EvalSamples:   cfg.EvalSamples,
+	}
+}
+
+// nodeFaults derives one node's link fault model from the fleet-wide
+// one: its own dice seed, and a permanent outage for a dark node.
+func nodeFaults(base netsim.FaultConfig, seed uint64, outage bool) netsim.FaultConfig {
+	cfg := base
+	cfg.Seed = seed
+	if outage {
+		cfg.Outages = append([]netsim.Outage{netsim.PermanentOutage()}, cfg.Outages...)
+	}
+	return cfg
+}
 
 type cmdKind int
 
@@ -71,184 +97,18 @@ type stateReply struct {
 	err  error
 }
 
-// uploadData is a node's capture-phase answer. samples/calib are nil
-// when the uplink lost the batch (failed) — the node still pays the
-// metered transmit cost.
-type uploadData struct {
-	captured int
-	uploaded int
-	calibN   int
-	upBytes  int64
-	uplinkJ  float64
-	uplinkS  float64
-	failed   bool
-	samples  []dataset.Sample
-	calib    []dataset.Sample
-	quality  diagnosis.Quality
-}
-
-// deployData is a node's deploy-phase answer.
-type deployData struct {
-	res      deploy.Result
-	version  uint32
-	accuracy float64
-}
-
 // roundMsg is one node→server response on the bounded results queue.
 type roundMsg struct {
 	node  int
 	round int
 	kind  cmdKind
-	up    uploadData
-	dep   deployData
+	up    core.Upload
+	dep   core.Deployed
 }
 
-type fleetNode struct {
-	id  int
-	cfg Config // the node-relevant subset is what matters here
-
-	gen      *dataset.Generator
-	infer    *nn.Network
-	jig      *nn.Network
-	diag     *diagnosis.JigsawDiagnoser
-	meter    *netsim.Meter
-	uplink   *netsim.LossyLink // nil = perfect
-	downlink *netsim.LossyLink // nil = perfect
-	version  uint32
-}
-
-// newFleetNode builds node id with derived seeds. The node's networks
-// start from the same init seeds as the server's (they are the same
-// models pre-deployment), exactly like core.System's node copies.
-// permSet may be shared (in-process) or freshly derived (remote agent);
-// NewPermSet is deterministic in (PermClasses, Seed+1) either way.
-func newFleetNode(cfg Config, id int, outage bool, permSet *jigsaw.PermSet) *fleetNode {
-	n := &fleetNode{
-		id:    id,
-		cfg:   cfg,
-		gen:   dataset.NewGenerator(cfg.Classes, cfg.Seed+seedOffGen+uint64(id)*131),
-		jig:   jigsaw.NewNet(cfg.PermClasses, cfg.Seed+2),
-		infer: models.TinyAlex(cfg.Classes, cfg.Seed+3),
-		meter: netsim.NewMeter(cfg.Link),
-	}
-	n.diag = diagnosis.NewJigsawDiagnoser(n.jig, permSet, cfg.Probes, cfg.Seed+seedOffDiag+uint64(id))
-	n.uplink = nodeLink(cfg.Link, cfg.UplinkFaults, cfg.Seed+seedOffUplink+uint64(id), outage)
-	n.downlink = nodeLink(cfg.Link, cfg.DownlinkFaults, cfg.Seed+seedOffDownlink+uint64(id), outage)
-	return n
-}
-
-// nodeLink derives one node's lossy link from the fleet-wide fault
-// config; nil when the resulting link would be perfect.
-func nodeLink(up netsim.Uplink, base netsim.FaultConfig, seed uint64, outage bool) *netsim.LossyLink {
-	cfg := base
-	cfg.Seed = seed
-	if outage {
-		cfg.Outages = append([]netsim.Outage{netsim.PermanentOutage()}, cfg.Outages...)
-	}
-	if !cfg.Enabled() {
-		return nil
-	}
-	return netsim.NewLossyLink(up, cfg)
-}
-
-// handle executes one command against the node's state and returns the
-// response message (state commands answer on cmd.reply instead and
-// return false). Both the local worker and the remote agent funnel every
-// command through here, so the two transports cannot drift.
-func (n *fleetNode) handle(cmd workerCmd, stall func(node, round int)) (roundMsg, bool) {
-	switch cmd.kind {
-	case cmdCapture:
-		return n.capture(cmd, stall), true
-	case cmdDeploy:
-		return n.deploy(cmd), true
-	case cmdStateSave:
-		data, err := n.stateBytes()
-		cmd.reply <- stateReply{data: data, err: err}
-	case cmdStateLoad:
-		cmd.reply <- stateReply{err: n.loadStateBytes(cmd.stateIn)}
-	}
-	return roundMsg{}, false
-}
-
-// capture runs the node half of a round: render the shard's next batch,
-// measure diagnosis quality, split, and push the upload batch through
-// the uplink. Bootstrap rounds upload everything raw.
-func (n *fleetNode) capture(cmd workerCmd, stall func(node, round int)) roundMsg {
-	if stall != nil {
-		stall(n.id, cmd.round)
-	}
-	cfg := n.cfg
-	capture := n.gen.MixedSet(cmd.n, cfg.InSituFrac, cfg.Severity)
-	up := uploadData{captured: cmd.n}
-	var uploadSet []dataset.Sample
-	if cmd.bootstrap {
-		uploadSet = capture
-	} else {
-		up.quality = diagnosis.Measure(n.diag, n.infer, capture)
-		calibN := cmd.n / 10
-		if calibN < 12 {
-			calibN = 12
-		}
-		calib := n.gen.MixedSet(calibN, cfg.InSituFrac, cfg.Severity)
-		if cfg.Kind.UsesNodeDiagnosis() {
-			// Only unrecognized data moves, plus the metered
-			// calibration sample (extra traffic, like core).
-			_, unrecognized := diagnosis.Split(n.diag, capture)
-			uploadSet = append(unrecognized, calib...)
-			up.calibN = len(calib)
-			up.captured = cmd.n + calibN
-		} else {
-			// Cloud-side variants move the full stream; the calibration
-			// subset rides along unmetered (it is part of the stream).
-			uploadSet = capture
-		}
-		up.calib = calib
-	}
-	up.uploaded = len(uploadSet)
-	up.upBytes = int64(len(uploadSet)) * dataset.ImageBytes
-	up.uplinkJ = cfg.Link.TransferEnergy(up.upBytes)
-	up.uplinkS = cfg.Link.TransferTime(up.upBytes)
-	n.meter.UploadItems(up.upBytes, int64(len(uploadSet)))
-
-	delivery := netsim.DeliverOK
-	if n.uplink != nil && up.upBytes > 0 {
-		delivery = n.uplink.Transmit(up.upBytes)
-	}
-	if delivery != netsim.DeliverOK {
-		// Dropped outright, or corrupted and rejected by the server's
-		// frame check: the round's batch is lost (no uplink retries),
-		// but the transmit energy above is already spent.
-		up.failed = true
-	} else {
-		up.samples = uploadSet
-	}
-	return roundMsg{node: n.id, round: cmd.round, kind: cmdCapture, up: up}
-}
-
-// deploy applies the round's bundle through this node's downlink (with
-// core's retry/backoff/rollback semantics via deploy.Deliver), then
-// evaluates the deployed model on the node's own capture mix.
-func (n *fleetNode) deploy(cmd workerCmd) roundMsg {
-	res := deploy.Downlink{
-		Link:        n.downlink,
-		Meter:       n.meter,
-		Retries:     n.cfg.DeployRetries,
-		BackoffBase: deployBackoffBase,
-	}.Deliver(cmd.bundle, deploy.Target{
-		Current:   n.version,
-		Inference: n.infer,
-		Jigsaw:    n.jig,
-		Diag:      n.diag,
-	})
-	n.version = res.Version
-	evalN := n.cfg.EvalSamples
-	if evalN <= 0 {
-		evalN = 120 // the paper-faithful post-deploy evaluation size
-	}
-	eval := n.gen.MixedSet(evalN, n.cfg.InSituFrac, n.cfg.Severity)
-	acc := train.Evaluate(n.infer, eval)
-	return roundMsg{
-		node: n.id, round: cmd.round, kind: cmdDeploy,
-		dep: deployData{res: res, version: n.version, accuracy: acc},
-	}
+// stateBytes is a node's SaveState as one blob.
+func stateBytes(n *core.Node) ([]byte, error) {
+	var buf bytes.Buffer
+	err := n.SaveState(&buf)
+	return buf.Bytes(), err
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"insitu/internal/core"
 	"insitu/internal/deploy"
 	"insitu/internal/diagnosis"
 	"insitu/internal/netsim"
@@ -53,7 +54,7 @@ const (
 )
 
 // nodeConfigToWire derives the config a node process needs — the same
-// fields newFleetNode consumes in-process, so both shapes derive
+// fields nodeConfig consumes in-process, so both shapes derive
 // bit-identical node state.
 func (f *Fleet) nodeConfigToWire(outage bool) wire.NodeConfig {
 	cfg := f.Cfg
@@ -529,17 +530,17 @@ func (p *remotePeer) exchange(cmd workerCmd) {
 		}
 		_ = p.f.submit(roundMsg{
 			node: p.nodeID, round: cmd.round, kind: cmdCapture,
-			up: uploadData{
-				captured: int(u.Captured),
-				uploaded: int(u.Uploaded),
-				calibN:   int(u.CalibN),
-				upBytes:  u.UpBytes,
-				uplinkJ:  u.UplinkJ,
-				uplinkS:  u.UplinkS,
-				failed:   u.Failed,
-				samples:  u.Samples,
-				calib:    u.Calib,
-				quality: diagnosis.Quality{
+			up: core.Upload{
+				Captured: int(u.Captured),
+				Uploaded: int(u.Uploaded),
+				CalibN:   int(u.CalibN),
+				UpBytes:  u.UpBytes,
+				UplinkJ:  u.UplinkJ,
+				UplinkS:  u.UplinkS,
+				Failed:   u.Failed,
+				Samples:  u.Samples,
+				Calib:    u.Calib,
+				Quality: diagnosis.Quality{
 					UploadFraction: u.QualityUploadFraction,
 					ErrorRecall:    u.QualityErrorRecall,
 					Precision:      u.QualityPrecision,
@@ -554,17 +555,16 @@ func (p *remotePeer) exchange(cmd workerCmd) {
 		}
 		_ = p.f.submit(roundMsg{
 			node: p.nodeID, round: cmd.round, kind: cmdDeploy,
-			dep: deployData{
-				res: deploy.Result{
+			dep: core.Deployed{
+				Result: deploy.Result{
 					Bytes:       r.Bytes,
 					Attempts:    int(r.Attempts),
 					Retransmits: r.Retransmits,
 					Backoff:     r.Backoff,
-					Version:     r.Version,
+					Version:     r.NodeVersion,
 					Failed:      r.Failed,
 				},
-				version:  r.NodeVersion,
-				accuracy: r.Accuracy,
+				Accuracy: r.Accuracy,
 			},
 		})
 	case cmdStateSave:

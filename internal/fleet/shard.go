@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
+
+	"insitu/internal/core"
 )
 
 // Sharded ingestion: the in-process fleet partitions its nodes across S
@@ -27,10 +30,10 @@ import (
 // tracks admission per shard-delivered message, never scanning nodes —
 // and the resident-state footprint is capped by Config.MaxLiveNodes:
 // each shard keeps at most its share of that many nodes hydrated,
-// spilling the least-recently-used ones to disk via the same
-// stateBytes/loadStateBytes framing the checkpoint path uses. A spilled
-// node restores bit-identically, so RoundReports are byte-identical for
-// every (Shards, MaxLiveNodes) setting.
+// spilling the least-recently-used ones to disk as the same state blobs
+// the checkpoint path frames. A spilled node restores bit-identically,
+// so RoundReports are byte-identical for every (Shards, MaxLiveNodes)
+// setting.
 
 // shardOf maps a node id to its shard. Plain modulo: ids are dense
 // [0,N), so this is a perfect partition with no hashing needed, and it
@@ -76,9 +79,9 @@ func newShard(f *Fleet, idx, members, maxLive int) *shard {
 
 // run is the shard worker: execute each command against the target
 // node, always answer. Round responses go through the fleet's batcher
-// (backpressure lives there now); state commands answer on cmd.reply
-// inside handle. A batcher shutdown mid-submit only happens to stale
-// straggler leftovers after the last round, so the error is dropped.
+// (backpressure lives there now); state commands answer on cmd.reply.
+// A batcher shutdown mid-submit only happens to stale straggler
+// leftovers after the last round, so the error is dropped.
 func (s *shard) run() {
 	defer close(s.done)
 	for sc := range s.queue {
@@ -90,9 +93,25 @@ func (s *shard) run() {
 			// bit-exactly, so the run must not continue at all.
 			panic(fmt.Sprintf("fleet: shard %d: %v", s.idx, err))
 		}
-		if msg, ok := n.handle(sc.cmd, s.f.stall); ok {
-			_ = s.f.submit(msg)
+		cmd := sc.cmd
+		msg := roundMsg{node: sc.node, round: cmd.round, kind: cmd.kind}
+		switch cmd.kind {
+		case cmdCapture:
+			if s.f.stall != nil {
+				s.f.stall(sc.node, cmd.round)
+			}
+			msg.up = n.Capture(cmd.n, cmd.bootstrap)
+		case cmdDeploy:
+			msg.dep = n.Deploy(cmd.bundle)
+		case cmdStateSave:
+			data, err := stateBytes(n)
+			cmd.reply <- stateReply{data: data, err: err}
+			continue
+		case cmdStateLoad:
+			cmd.reply <- stateReply{err: n.LoadState(bytes.NewReader(cmd.stateIn))}
+			continue
 		}
+		_ = s.f.submit(msg)
 	}
 }
 
@@ -137,14 +156,14 @@ func (p *shardPeer) shutdown() { p.s.release() }
 // maxLive plus cold state spilled to the fleet's spill directory. All
 // access is from the owning shard worker, so there is no locking. Nodes
 // hydrate lazily — a node that has never run is rebuilt from Config
-// alone (newFleetNode is deterministic), one that was evicted restores
+// alone (core.NewNode is deterministic), one that was evicted restores
 // from its spill blob — so a 10k-node fleet never holds 10k node states
 // in memory at once.
 type nodeCache struct {
 	f       *Fleet
 	maxLive int // <=0: never spill
 	live    map[int]*list.Element
-	lru     *list.List // front = least recently used; values are *fleetNode
+	lru     *list.List // front = least recently used; values are *core.Node
 	spilled map[int]bool
 }
 
@@ -160,18 +179,18 @@ func newNodeCache(f *Fleet, maxLive int) *nodeCache {
 
 // get returns the hydrated node for id, restoring or constructing it as
 // needed and evicting the coldest nodes past maxLive.
-func (c *nodeCache) get(id int) (*fleetNode, error) {
+func (c *nodeCache) get(id int) (*core.Node, error) {
 	if el, ok := c.live[id]; ok {
 		c.lru.MoveToBack(el)
-		return el.Value.(*fleetNode), nil
+		return el.Value.(*core.Node), nil
 	}
-	n := newFleetNode(c.f.Cfg, id, c.f.outage[id], c.f.permSet)
+	n := core.NewNode(nodeConfig(c.f.Cfg, id, c.f.outage[id]))
 	if c.spilled[id] {
 		data, err := os.ReadFile(c.path(id))
 		if err != nil {
 			return nil, fmt.Errorf("reading spilled node %d: %w", id, err)
 		}
-		if err := n.loadStateBytes(data); err != nil {
+		if err := n.LoadState(bytes.NewReader(data)); err != nil {
 			return nil, fmt.Errorf("restoring spilled node %d: %w", id, err)
 		}
 		countSpillRestore()
@@ -189,17 +208,17 @@ func (c *nodeCache) get(id int) (*fleetNode, error) {
 func (c *nodeCache) evict() error {
 	for c.maxLive > 0 && c.lru.Len() > c.maxLive {
 		el := c.lru.Front()
-		n := el.Value.(*fleetNode)
-		data, err := n.stateBytes()
+		n := el.Value.(*core.Node)
+		data, err := stateBytes(n)
 		if err != nil {
-			return fmt.Errorf("spilling node %d: %w", n.id, err)
+			return fmt.Errorf("spilling node %d: %w", n.ID(), err)
 		}
-		if err := os.WriteFile(c.path(n.id), data, 0o644); err != nil {
-			return fmt.Errorf("spilling node %d: %w", n.id, err)
+		if err := os.WriteFile(c.path(n.ID()), data, 0o644); err != nil {
+			return fmt.Errorf("spilling node %d: %w", n.ID(), err)
 		}
-		c.spilled[n.id] = true
+		c.spilled[n.ID()] = true
 		c.lru.Remove(el)
-		delete(c.live, n.id)
+		delete(c.live, n.ID())
 		countSpill()
 	}
 	return nil

@@ -174,10 +174,17 @@ func TestNodeCacheSpillRestoreRoundTrip(t *testing.T) {
 	}
 	// Snapshot a spilled node's on-disk state, rehydrate it through get,
 	// and compare the serialized state: restore must be bit-exact.
-	var victim int
+	// (spilled stays set once a node has been rehydrated, with a stale
+	// file behind it: only a node that is not live right now will do.)
+	victim := -1
 	for id := range cache.spilled {
-		victim = id
-		break
+		if _, live := cache.live[id]; !live {
+			victim = id
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("every spilled node is live again")
 	}
 	want, err := readSpill(cache, victim)
 	if err != nil {
@@ -187,7 +194,7 @@ func TestNodeCacheSpillRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rehydrating node %d: %v", victim, err)
 	}
-	got, err := n.stateBytes()
+	got, err := stateBytes(n)
 	if err != nil {
 		t.Fatal(err)
 	}

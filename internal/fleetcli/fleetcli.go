@@ -1,10 +1,10 @@
-// Package fleetcli is the shared driver behind cmd/insitu-fleet (the
-// in-process deployment) and cmd/insitu-cloud (the standalone wire
-// server). Both binaries parse the same flags, run the same
-// bootstrap/round schedule, checkpoint on the same cadence and print
-// byte-identical stdout for the same Config — the wire-smoke harness
-// diffs the two outputs, so the only thing allowed to differ is how
-// the fleet's peers come to exist (fleet.New vs fleet.Listen).
+// Package fleetcli is the driver behind cmd/insitu-fleet, for both of
+// its deployments: in process, and (-listen) as the standalone wire
+// server. Both parse the same flags, run the same bootstrap/round
+// schedule, checkpoint on the same cadence and print byte-identical
+// stdout for the same Config — the wire-smoke harness diffs the two
+// outputs, so the only thing allowed to differ is how the fleet's peers
+// come to exist (fleet.New vs fleet.Listen).
 package fleetcli
 
 import (
@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -26,8 +27,12 @@ import (
 	"insitu/internal/obs"
 )
 
-// Options is the flag surface shared by the fleet binaries.
+// Options is insitu-fleet's flag surface.
 type Options struct {
+	// Listen, when set, serves the wire fleet on this address: the N
+	// nodes are insitu-node processes that connect to it. Empty runs
+	// them in process.
+	Listen          string
 	Nodes           int
 	Variant         string
 	Bootstrap       int
@@ -54,14 +59,12 @@ type Options struct {
 	AdmitP99SLO     float64
 	HealthOut       string
 	Obs             obs.Flags
-
-	// Wire marks the binary as the wire cloud (set by insitu-cloud, not a
-	// flag); it selects the auto default for -round-timeout.
-	Wire bool
 }
 
-// AddFlags registers the shared fleet flags on fs.
+// AddFlags registers the fleet flags on fs.
 func (o *Options) AddFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.Listen, "listen", "",
+		"serve the wire fleet: accept insitu-node connections on this address (empty = run the nodes in process)")
 	fs.IntVar(&o.Nodes, "nodes", 4, "fleet size N")
 	fs.StringVar(&o.Variant, "variant", "d", "IoT system variant: a, b, c or d")
 	fs.IntVar(&o.Bootstrap, "bootstrap", 64, "per-node bootstrap capture size")
@@ -149,12 +152,34 @@ func Kind(variant string) (core.SystemKind, error) {
 	return 0, fmt.Errorf("unknown variant %q (want a, b, c or d)", variant)
 }
 
+// build turns the resolved Config into a live fleet: fleet.New in
+// process, fleet.Listen for the wire cloud, which blocks until all N
+// agents have handshaken. The wire fleet owns its listener for the whole
+// run (Close stops it): it keeps accepting so killed and restarted nodes
+// can redial and rejoin their session mid-schedule.
+func (o *Options) build(cfg fleet.Config) (*fleet.Fleet, error) {
+	if o.Listen == "" {
+		return fleet.New(cfg), nil
+	}
+	ln, err := net.Listen("tcp", o.Listen)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "listening on %s, waiting for %d node(s)...\n", ln.Addr(), cfg.Nodes)
+	f, err := fleet.Listen(cfg, ln)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "all %d node(s) connected\n", cfg.Nodes)
+	return f, nil
+}
+
 // Run drives one fleet deployment end to end and returns the process
-// exit code. build turns the resolved Config into a live fleet —
-// fleet.New for the in-process binary, fleet.Listen for the wire
-// cloud. Resume (when requested) restores into whatever build made, so
-// a checkpoint taken by either binary finishes under the other.
-func (o *Options) Run(name string, build func(fleet.Config) (*fleet.Fleet, error)) int {
+// exit code. Resume (when requested) restores into whichever fleet the
+// flags build, so a checkpoint taken by either deployment finishes under
+// the other.
+func (o *Options) Run() int {
+	const name = "insitu-fleet"
 	kind, err := Kind(o.Variant)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -221,7 +246,7 @@ func (o *Options) Run(name string, build func(fleet.Config) (*fleet.Fleet, error
 	rt := o.RoundTimeout
 	if rt < 0 {
 		rt = 0
-		if o.Wire && store == nil {
+		if o.Listen != "" && store == nil {
 			rt = 2 * time.Minute
 		}
 	}
@@ -233,7 +258,7 @@ func (o *Options) Run(name string, build func(fleet.Config) (*fleet.Fleet, error
 	cfg.Lease = o.Lease
 	cfg.MinQuorum = o.MinQuorum
 
-	fl, err := build(cfg)
+	fl, err := o.build(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, name+":", err)
 		return 1

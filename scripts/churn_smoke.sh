@@ -17,45 +17,14 @@
 #      node DISCONNECTED, and the health plane (insitu-top over
 #      -health-out) must show it disconnected and unhealthy.
 #
-# Scratch space is a fresh mktemp dir removed on exit. CI that wants the
-# artifacts on failure sets CHURN_SMOKE_WORK to a path it uploads; an
-# externally-named dir is left in place for collection.
-# INSITU_BIN_DIR, when set, names a dir of prebuilt race binaries
-# (insitu-fleet, insitu-cloud, insitu-node, insitu-proxy, insitu-top) so
-# CI builds them once across the smoke jobs.
+# Scratch dir (CHURN_SMOKE_WORK pins it), binaries and cleanup: see
+# lib.sh.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-
-if [[ -n "${CHURN_SMOKE_WORK:-}" ]]; then
-	work=$CHURN_SMOKE_WORK
-	keep_work=1
-	rm -rf "$work"
-	mkdir -p "$work"
-else
-	work=$(mktemp -d "${TMPDIR:-/tmp}/churn-smoke.XXXXXX")
-	keep_work=0
-fi
-pids=()
-cleanup() {
-	for p in "${pids[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done
-	((keep_work)) || rm -rf "$work"
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_setup churn insitu-fleet insitu-node insitu-proxy insitu-top
 
 port=$((21433 + RANDOM % 1000))
 pxport=$((port + 1000))
-
-if [[ -n "${INSITU_BIN_DIR:-}" ]]; then
-	echo "== using prebuilt binaries from $INSITU_BIN_DIR =="
-	for b in insitu-fleet insitu-cloud insitu-node insitu-proxy insitu-top; do
-		install -m 0755 "$INSITU_BIN_DIR/$b" "$work/"
-	done
-else
-	echo "== build (race) =="
-	go build -race -o "$work/" ./cmd/insitu-fleet ./cmd/insitu-cloud \
-		./cmd/insitu-node ./cmd/insitu-proxy ./cmd/insitu-top
-fi
 
 # start_node VAR ID ADDR LOG — one reconnecting agent process; its pid
 # lands in VAR and in the cleanup list.
@@ -88,7 +57,7 @@ echo "== leg A baseline: undisturbed in-process run =="
 "$work/insitu-fleet" "${flags[@]}" >"$work/base.out" 2>/dev/null
 
 echo "== leg A: SIGKILL + restart two node processes mid-round, via lossy proxy =="
-"$work/insitu-cloud" -listen "127.0.0.1:$port" "${flags[@]}" -lease 30s \
+"$work/insitu-fleet" -listen "127.0.0.1:$port" "${flags[@]}" -lease 30s \
 	>"$work/churn.out" 2>"$work/cloud-a.err" &
 cloud=$!
 pids+=("$cloud")
@@ -120,7 +89,7 @@ echo "leg A: stdout byte-identical through two SIGKILL/restart cycles"
 echo "== leg B: node left dead past its lease; rounds continue at quorum =="
 bflags=(-nodes 3 -bootstrap 24 -rounds 8,8,8,8,8 -classes 4 -seed 7
 	-fault-rate 0.3 -uplink-fault-rate 0.2)
-"$work/insitu-cloud" -listen "127.0.0.1:$port" "${bflags[@]}" \
+"$work/insitu-fleet" -listen "127.0.0.1:$port" "${bflags[@]}" \
 	-lease 2s -min-quorum 2 -health-out "$work/health.json" \
 	>"$work/lease.out" 2>"$work/cloud-b.err" &
 cloud=$!

@@ -11,42 +11,14 @@
 #     (insitu-top -require-verdicts) and count zero unhealthy nodes —
 #     a straggler-starved shard or wedged batcher shows up here.
 #
-# Scratch space is a fresh mktemp dir removed on exit. CI that wants the
-# artifacts sets SCALE_SMOKE_WORK to a path it uploads; an
-# externally-named dir is left in place for collection.
-# INSITU_BIN_DIR, when set, names a dir of prebuilt race binaries
-# (insitu-fleet, insitu-top) so CI builds them once across the smoke
-# jobs.
+# Scratch dir (SCALE_SMOKE_WORK pins it), binaries and cleanup: see
+# lib.sh.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-
-if [[ -n "${SCALE_SMOKE_WORK:-}" ]]; then
-	work=$SCALE_SMOKE_WORK
-	keep_work=1
-	rm -rf "$work"
-	mkdir -p "$work"
-else
-	work=$(mktemp -d "${TMPDIR:-/tmp}/scale-smoke.XXXXXX")
-	keep_work=0
-fi
-cleanup() {
-	((keep_work)) || rm -rf "$work"
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_setup scale insitu-fleet insitu-top
 
 nodes=${SCALE_SMOKE_NODES:-1000}
 shards=${SCALE_SMOKE_SHARDS:-8}
-
-if [[ -n "${INSITU_BIN_DIR:-}" ]]; then
-	echo "== using prebuilt binaries from $INSITU_BIN_DIR =="
-	for b in insitu-fleet insitu-top; do
-		install -m 0755 "$INSITU_BIN_DIR/$b" "$work/"
-	done
-else
-	echo "== build (race) =="
-	go build -race -o "$work/" ./cmd/insitu-fleet ./cmd/insitu-top
-fi
 
 echo "== race run: N=$nodes across $shards shards =="
 time "$work/insitu-fleet" \

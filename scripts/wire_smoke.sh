@@ -3,7 +3,8 @@
 # in-process fleet, bit for bit. Four legs, all built with -race:
 #
 #   1. insitu-fleet            — the in-process baseline stdout
-#   2. insitu-cloud + 2 nodes  — same flags over real TCP; stdout must diff clean
+#   2. insitu-fleet -listen    — same flags, 2 insitu-node processes over real
+#                                TCP; stdout must diff clean
 #   3. ...through insitu-proxy — real dropped/corrupted/delayed frames; CRC,
 #                                retransmission and idempotent commands must
 #                                absorb every fault with identical stdout
@@ -17,35 +18,15 @@
 # leg: they are seeded node-side state, so they must replay identically no
 # matter which transport carries the rounds.
 #
-# INSITU_BIN_DIR, when set, names a dir of prebuilt race binaries so CI
-# builds them once across the smoke jobs.
+# Scratch dir, binaries and cleanup: see lib.sh.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-
-work=$(mktemp -d "${TMPDIR:-/tmp}/wire-smoke.XXXXXX")
-pids=()
-cleanup() {
-	for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
-	rm -rf "$work"
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_setup wire insitu-fleet insitu-node insitu-proxy
 
 port=$((19433 + RANDOM % 1000))
 pxport=$((port + 1000))
 flags=(-nodes 2 -bootstrap 24 -rounds 8,8 -classes 4 -seed 7
 	-fault-rate 0.3 -uplink-fault-rate 0.2)
-
-if [[ -n "${INSITU_BIN_DIR:-}" ]]; then
-	echo "== using prebuilt binaries from $INSITU_BIN_DIR =="
-	for b in insitu-fleet insitu-cloud insitu-node insitu-proxy; do
-		install -m 0755 "$INSITU_BIN_DIR/$b" "$work/"
-	done
-else
-	echo "== build (race) =="
-	go build -race -o "$work/" ./cmd/insitu-fleet ./cmd/insitu-cloud \
-		./cmd/insitu-node ./cmd/insitu-proxy
-fi
 
 echo "== leg 1: in-process baseline =="
 "$work/insitu-fleet" "${flags[@]}" >"$work/base.out" 2>/dev/null
@@ -64,7 +45,7 @@ start_nodes() {
 }
 
 echo "== leg 2: cloud + 2 node processes over TCP =="
-"$work/insitu-cloud" -listen "127.0.0.1:$port" "${flags[@]}" \
+"$work/insitu-fleet" -listen "127.0.0.1:$port" "${flags[@]}" \
 	>"$work/wire.out" 2>>"$work/cloud.err" &
 cloud=$!
 pids+=("$cloud")
@@ -74,7 +55,7 @@ wait "$n0" "$n1"
 diff "$work/base.out" "$work/wire.out"
 
 echo "== leg 3: same, through a lossy proxy (drop 8%, corrupt 8%, delay <=2ms) =="
-"$work/insitu-cloud" -listen "127.0.0.1:$port" "${flags[@]}" \
+"$work/insitu-fleet" -listen "127.0.0.1:$port" "${flags[@]}" \
 	>"$work/proxy.out" 2>>"$work/cloud.err" &
 cloud=$!
 pids+=("$cloud")
@@ -91,7 +72,7 @@ grep 'insitu-proxy:' "$work/proxy.err" || true
 diff "$work/base.out" "$work/proxy.out"
 
 echo "== leg 4: SIGKILL the cloud after round 1, resume from the checkpoint =="
-"$work/insitu-cloud" -listen "127.0.0.1:$port" "${flags[@]}" \
+"$work/insitu-fleet" -listen "127.0.0.1:$port" "${flags[@]}" \
 	-state-dir "$work/state" -ckpt-every 1 -kill-after-round 1 \
 	>/dev/null 2>>"$work/cloud.err" &
 cloud=$!
@@ -100,7 +81,7 @@ start_nodes "127.0.0.1:$port"
 wait "$cloud" || true # exit 137 is the point
 wait "$n0" || true    # the agents die with their cloud
 wait "$n1" || true
-"$work/insitu-cloud" -listen "127.0.0.1:$port" "${flags[@]}" \
+"$work/insitu-fleet" -listen "127.0.0.1:$port" "${flags[@]}" \
 	-state-dir "$work/state" -resume \
 	>"$work/resumed.out" 2>>"$work/cloud.err" &
 cloud=$!
