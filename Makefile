@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-short bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
+.PHONY: check vet build test race race-short ingest-stress bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
 
 check: vet build race bench-smoke
 
@@ -27,6 +27,17 @@ race:
 # while still driving every concurrent code path.
 race-short:
 	$(GO) test -race -short -timeout 20m ./...
+
+# The node-to-round-loop hand-off blocks by design (backpressure, the
+# Close-time release of abandoned stragglers), and one pass of a
+# blocking protocol proves little: repeat its tests under the race
+# detector. One P because the determinism tests still fail on more
+# (ROADMAP item 1). The tests train real models, so under -race the
+# three passes outlast go test's default 10m timeout on a slow core.
+ingest-stress:
+	GOMAXPROCS=1 $(GO) test -race -count=3 -timeout 45m \
+		-run 'TestFleetBackpressure|TestFleetOutageNode|TestFleetDeterministicAcrossShardTopologies|TestClose' \
+		./internal/fleet
 
 # Quick proof that the blocked kernels still run fast and allocation-free:
 # a short -benchtime keeps this under a minute.

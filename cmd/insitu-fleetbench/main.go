@@ -87,8 +87,8 @@ func main() {
 		Note: "sharded ingestion at scale: ns_per_op is p99 admission latency (wall-clock), " +
 			"bytes_per_op is peak live heap at round boundaries, bytes_per_upload is " +
 			"deterministic uplink cost per sample. Caps: " +
-			fmt.Sprintf("max-round-samples=%d max-calib-samples=%d eval-samples=%d max-live-nodes=%d batch-size=%d.",
-				s.MaxRoundSamples, s.MaxCalibSamples, s.EvalSamples, s.MaxLiveNodes, s.BatchSize),
+			fmt.Sprintf("max-round-samples=%d max-calib-samples=%d eval-samples=%d max-live-nodes=%d.",
+				s.MaxRoundSamples, s.MaxCalibSamples, s.EvalSamples, s.MaxLiveNodes),
 		Results: raw,
 	})
 

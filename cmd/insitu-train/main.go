@@ -186,8 +186,8 @@ func verify(path string, classes, perms int, seed uint64) {
 	}
 	inference := models.TinyAlex(classes, seed)
 	jigNet := jigsaw.NewNet(perms, seed)
-	if err := bundle.Apply(inference, jigNet, nil); err != nil {
-		fatal(fmt.Errorf("bundle does not fit the declared architecture: %w", err))
+	if err := bundle.ApplyAtomic(0, inference, jigNet, nil); err != nil {
+		fatal(fmt.Errorf("bundle does not apply to the declared architecture: %w", err))
 	}
 	fmt.Printf("%s OK: version %d, threshold %.3f, %d bytes, weights load cleanly\n",
 		path, bundle.Version, bundle.Threshold, bundle.Size())

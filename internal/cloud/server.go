@@ -22,8 +22,7 @@ import (
 // Server owns is seeded from Seed: the permutation set (Seed+1), the two
 // networks' initial weights (Seed+2, Seed+3 — NewModels, which the nodes
 // call too, since they run the same models before the first deploy), the
-// replay sampler (Seed+4), the jigsaw trainer (Seed+5) and the Cloud
-// diagnoser (Seed+6).
+// replay sampler (Seed+4) and the jigsaw trainer (Seed+5).
 type Config struct {
 	Classes     int
 	PermClasses int
@@ -88,7 +87,7 @@ func NewServer(cfg Config) *Server {
 	s.infer, s.jig = NewModels(cfg.Classes, cfg.PermClasses, cfg.Seed)
 	perms := NewPermSet(cfg.PermClasses, cfg.Seed)
 	s.trainer = jigsaw.NewTrainer(s.jig, perms, 0.01, cfg.Seed+5)
-	s.diag = diagnosis.NewJigsawDiagnoser(s.jig, perms, cfg.Probes, cfg.Seed+6)
+	s.diag = diagnosis.NewJigsawDiagnoser(s.jig, perms, cfg.Probes, 0)
 	return s
 }
 
@@ -226,7 +225,7 @@ func CalibTarget(errRate float64) float64 {
 // issues many small writes; hand it a buffered writer.
 func (s *Server) Save(w io.Writer) error {
 	if err := ckpt.WriteU64s(w,
-		uint64(s.version), s.trainer.RNGState(), s.rng.State(), s.diag.RNGState(),
+		uint64(s.version), s.trainer.RNGState(), s.rng.State(),
 		uint64(math.Float32bits(s.trainer.Opt.LR)),
 		math.Float64bits(s.diag.Threshold()),
 	); err != nil {
@@ -264,16 +263,15 @@ func (s *Server) Save(w io.Writer) error {
 // poisoned model, and it is refused rather than served. On error the
 // Server is partially restored and must be discarded.
 func (s *Server) Load(r io.Reader) error {
-	hdr := make([]uint64, 6)
+	hdr := make([]uint64, 5)
 	if err := ckpt.ReadU64s(r, hdr); err != nil {
 		return fmt.Errorf("cloud: restoring counters: %w", err)
 	}
 	s.version = uint32(hdr[0])
 	s.trainer.SetRNGState(hdr[1])
 	s.rng.SetState(hdr[2])
-	s.diag.SetRNGState(hdr[3])
-	s.trainer.Opt.LR = math.Float32frombits(uint32(hdr[4]))
-	s.diag.SetThreshold(math.Float64frombits(hdr[5]))
+	s.trainer.Opt.LR = math.Float32frombits(uint32(hdr[3]))
+	s.diag.SetThreshold(math.Float64frombits(hdr[4]))
 	for _, net := range []*nn.Network{s.infer, s.jig} {
 		if err := ckpt.ReadBlob(r, net.LoadWeights); err != nil {
 			return fmt.Errorf("cloud: restoring %s weights: %w", net.Name, err)

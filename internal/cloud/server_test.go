@@ -35,7 +35,7 @@ func packed(t *testing.T, s *Server) (frame []byte, threshold float64, version u
 // section (counters, five length-prefixed blobs, the pool count).
 func sectionEnds(t *testing.T, raw []byte) []int {
 	t.Helper()
-	ends := []int{6 * 8}
+	ends := []int{5 * 8}
 	for i := 0; i < 5; i++ {
 		at := ends[len(ends)-1]
 		ends = append(ends, at+8+int(binary.LittleEndian.Uint64(raw[at:])))

@@ -20,9 +20,10 @@ import (
 // boundary, resume, and the final report is byte-identical to an
 // uninterrupted run's.
 
-// ckptMagic 0002: the body became header + the halves' sections; the
-// bump makes a 0001 snapshot fail on its magic instead of mis-decoding.
-const ckptMagic = "ISCS0002"
+// ckptMagic 0003: both halves' sections lost the diagnoser's never-drawn
+// RNG word; the bump makes a 0002 snapshot fail on its magic instead of
+// mis-decoding.
+const ckptMagic = "ISCS0003"
 
 // ErrConfigMismatch is returned by Resume when the checkpoint was taken
 // under an incompatible configuration (different seed, variant, class

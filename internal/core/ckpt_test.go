@@ -185,8 +185,8 @@ func TestResumeRejectsPreviousMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := snap.Bytes()
-	copy(raw, "ISCS0001")
+	copy(raw, "ISCS0002")
 	if _, err := Resume(cfg, bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
-		t.Fatalf("Resume of an ISCS0001 stream: %v, want a bad-magic error", err)
+		t.Fatalf("Resume of an ISCS0002 stream: %v, want a bad-magic error", err)
 	}
 }

@@ -29,9 +29,8 @@ type NodeConfig struct {
 	// Seed is the deployment's base seed: until the first deploy lands
 	// the node runs the same initial models as the Cloud.
 	Seed uint64
-	// GenSeed seeds the node's dataset shard, DiagSeed its diagnoser.
-	GenSeed  uint64
-	DiagSeed uint64
+	// GenSeed seeds the node's dataset shard.
+	GenSeed uint64
 	// InSituFrac is the fraction of captured data under in-situ
 	// pathologies; Severity their strength.
 	InSituFrac float64
@@ -114,7 +113,7 @@ func NewNode(cfg NodeConfig) *Node {
 	}
 	n.infer, n.jig = cloud.NewModels(cfg.Classes, cfg.PermClasses, cfg.Seed)
 	n.diag = diagnosis.NewJigsawDiagnoser(n.jig,
-		cloud.NewPermSet(cfg.PermClasses, cfg.Seed), cfg.Probes, cfg.DiagSeed)
+		cloud.NewPermSet(cfg.PermClasses, cfg.Seed), cfg.Probes, 0)
 	return n
 }
 
@@ -218,7 +217,7 @@ func (n *Node) evaluate() float64 {
 	return train.Evaluate(n.infer, n.draw(count))
 }
 
-// The node's state on the wire and on disk: version, RNG positions,
+// The node's state on the wire and on disk: version, RNG position,
 // threshold, the 12-word meter, a 6-word block per lossy link, then both
 // networks. A fleet checkpoint frames one such blob per node, a wire
 // agent ships the same bytes over MsgStateBlob, the shard LRU spills
@@ -228,7 +227,7 @@ func (n *Node) evaluate() float64 {
 func (n *Node) SaveState(w io.Writer) error {
 	m := n.meter
 	if err := ckpt.WriteU64s(w,
-		uint64(n.version), n.gen.RNGState(), n.diag.RNGState(),
+		uint64(n.version), n.gen.RNGState(),
 		math.Float64bits(n.diag.Threshold()),
 		ckpt.BoolU64(n.uplink != nil), ckpt.BoolU64(n.downlink != nil),
 
@@ -269,24 +268,23 @@ func (n *Node) SaveState(w io.Writer) error {
 // a blob that decodes cleanly can still carry a poisoned model. On any
 // error the node is partially restored and must not be used.
 func (n *Node) LoadState(r io.Reader) error {
-	w := make([]uint64, 18)
+	w := make([]uint64, 17)
 	if err := ckpt.ReadU64s(r, w); err != nil {
 		return fmt.Errorf("core: restoring node %d: %w", n.cfg.ID, err)
 	}
-	if (w[4] != 0) != (n.uplink != nil) || (w[5] != 0) != (n.downlink != nil) {
+	if (w[3] != 0) != (n.uplink != nil) || (w[4] != 0) != (n.downlink != nil) {
 		return fmt.Errorf("%w: node %d link topology differs", ErrConfigMismatch, n.cfg.ID)
 	}
 	n.version = uint32(w[0])
 	n.gen.SetRNGState(w[1])
-	n.diag.SetRNGState(w[2])
-	n.diag.SetThreshold(math.Float64frombits(w[3]))
+	n.diag.SetThreshold(math.Float64frombits(w[2]))
 	m := n.meter
-	m.Bytes, m.Items = int64(w[6]), int64(w[7])
-	m.Seconds, m.Joules = math.Float64frombits(w[8]), math.Float64frombits(w[9])
-	m.Retransmits, m.RetransmitBytes = int64(w[10]), int64(w[11])
-	m.RetransmitSecs, m.RetransmitJoules = math.Float64frombits(w[12]), math.Float64frombits(w[13])
-	m.Downloads, m.DownlinkBytes = int64(w[14]), int64(w[15])
-	m.DownlinkSecs, m.DownlinkJoules = math.Float64frombits(w[16]), math.Float64frombits(w[17])
+	m.Bytes, m.Items = int64(w[5]), int64(w[6])
+	m.Seconds, m.Joules = math.Float64frombits(w[7]), math.Float64frombits(w[8])
+	m.Retransmits, m.RetransmitBytes = int64(w[9]), int64(w[10])
+	m.RetransmitSecs, m.RetransmitJoules = math.Float64frombits(w[11]), math.Float64frombits(w[12])
+	m.Downloads, m.DownlinkBytes = int64(w[13]), int64(w[14])
+	m.DownlinkSecs, m.DownlinkJoules = math.Float64frombits(w[15]), math.Float64frombits(w[16])
 	for _, link := range []*netsim.LossyLink{n.uplink, n.downlink} {
 		if link == nil {
 			continue

@@ -205,7 +205,6 @@ func NewSystem(cfg Config) *System {
 			Probes:        cfg.Probes,
 			Seed:          cfg.Seed,
 			GenSeed:       cfg.Seed,
-			DiagSeed:      cfg.Seed + 6,
 			InSituFrac:    cfg.InSituFrac,
 			Severity:      cfg.Severity,
 			Link:          cfg.Link,

@@ -155,30 +155,13 @@ func Decode(r io.Reader) (*Bundle, error) {
 	return b, nil
 }
 
-// Apply loads the bundle's weights into the node's networks and sets the
-// diagnosis threshold. The networks must be structurally identical to the
-// ones the bundle was packed from.
-//
-// Apply is NOT transactional: LoadWeights writes parameters in place as
-// it reads, so a mid-apply failure leaves the networks partially
-// updated. OTA paths should use ApplyAtomic.
-func (b *Bundle) Apply(inference, jigsaw *nn.Network, diag diagnosis.Diagnoser) error {
-	if err := inference.LoadWeights(bytes.NewReader(b.InferenceWeights)); err != nil {
-		return fmt.Errorf("deploy: applying inference weights: %w", err)
-	}
-	if err := jigsaw.LoadWeights(bytes.NewReader(b.JigsawWeights)); err != nil {
-		return fmt.Errorf("deploy: applying jigsaw weights: %w", err)
-	}
-	if diag != nil {
-		diag.SetThreshold(b.Threshold)
-	}
-	return nil
-}
-
-// ApplyAtomic is the node's OTA update path: it rejects stale or
-// replayed bundles (Version must exceed current), snapshots both
-// networks' weights before touching them, and rolls the snapshot back if
-// either load fails mid-apply — the node is never left half-updated. On
+// ApplyAtomic loads the bundle's weights into the node's networks —
+// which must be structurally identical to the ones the bundle was packed
+// from — and sets the diagnosis threshold. It is the node's OTA update
+// path: it rejects stale or replayed bundles (Version must exceed
+// current), snapshots both networks' weights before touching them, and
+// rolls the snapshot back if either load fails mid-apply (LoadWeights
+// writes in place as it reads) — the node is never left half-updated. On
 // success it returns nil and the caller should advance its version to
 // b.Version; on any error the networks still hold their previous
 // weights and the threshold is unchanged.

@@ -42,7 +42,7 @@ func TestPackEncodeDecodeApplyRoundTrip(t *testing.T) {
 	jig2 := jigsaw.NewNet(8, 98)
 	set := jigsaw.NewPermSet(8, 3)
 	d := diagnosis.NewJigsawDiagnoser(jig2, set, 2, 4)
-	if err := got.Apply(inf2, jig2, d); err != nil {
+	if err := got.ApplyAtomic(0, inf2, jig2, d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Threshold() != 0.42 {
@@ -105,7 +105,7 @@ func TestApplyRejectsWrongArchitecture(t *testing.T) {
 	jig := jigsaw.NewNet(6, 2)
 	bundle, _ := Pack(1, inf, jig, 0.5)
 	wrong := models.TinyAlex(5, 1) // different class count
-	if err := bundle.Apply(wrong, jigsaw.NewNet(6, 3), nil); err == nil {
+	if err := bundle.ApplyAtomic(0, wrong, jigsaw.NewNet(6, 3), nil); err == nil {
 		t.Fatal("wrong architecture accepted")
 	}
 }

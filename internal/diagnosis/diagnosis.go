@@ -82,25 +82,17 @@ type JigsawDiagnoser struct {
 	Probes int
 
 	threshold float64
-	rng       *tensor.RNG
 }
 
 // NewJigsawDiagnoser wraps a trained jigsaw network. probes is the number
-// of permutations sampled per image (more probes, smoother scores).
-func NewJigsawDiagnoser(net *nn.Network, set *jigsaw.PermSet, probes int, seed uint64) *JigsawDiagnoser {
+// of permutations scored per image (more probes, smoother scores). The
+// seed is ignored — the probe schedule is deterministic (see Score).
+func NewJigsawDiagnoser(net *nn.Network, set *jigsaw.PermSet, probes int, _ uint64) *JigsawDiagnoser {
 	if probes < 1 {
 		probes = 1
 	}
-	return &JigsawDiagnoser{Net: net, Set: set, Probes: probes, threshold: 0.5, rng: tensor.NewRNG(seed)}
+	return &JigsawDiagnoser{Net: net, Set: set, Probes: probes, threshold: 0.5}
 }
-
-// RNGState exposes the probe RNG position for checkpointing (the
-// current probe schedule is deterministic, but the stream is saved so a
-// future stochastic schedule cannot silently break resume).
-func (d *JigsawDiagnoser) RNGState() uint64 { return d.rng.State() }
-
-// SetRNGState rewinds the probe RNG to a saved position.
-func (d *JigsawDiagnoser) SetRNGState(s uint64) { d.rng.SetState(s) }
 
 // Score implements Diagnoser.
 func (d *JigsawDiagnoser) Score(img *tensor.Tensor) float64 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"insitu/internal/cloud"
 	"insitu/internal/core"
@@ -28,13 +27,11 @@ type FleetScale struct {
 	// MaxCalibSamples the pooled calibration set (0 = unlimited).
 	MaxRoundSamples int
 	MaxCalibSamples int
-	// Shards/BatchSize/BatchWaitMs/MaxLiveNodes are the sharded-ingestion
-	// valves (zero values = fleet defaults: one shard per node, batch 64,
-	// no deadline, everything resident). Results are byte-identical for
-	// every setting; wall-clock and memory are what they move.
+	// Shards/MaxLiveNodes are the sharded-ingestion valves (zero values =
+	// fleet defaults: one shard per node, everything resident). Results
+	// are byte-identical for every setting; wall-clock and memory are what
+	// they move.
 	Shards       int
-	BatchSize    int
-	BatchWaitMs  int
 	MaxLiveNodes int
 	// EvalSamples shrinks each node's post-deploy evaluation (0 = the
 	// paper-faithful 120) — the dominant compute term at large N.
@@ -56,16 +53,16 @@ var PaperFleet = FleetScale{
 }
 
 // ScaleFleet is the sharded-ingestion scale sweep: N=1k with every
-// valve engaged — sharded workers, coalesced batches, capped admission
-// and calibration, shrunken per-node evaluation, and cold state spilled
-// past 128 resident nodes. The interesting columns are peak heap and
+// valve engaged — sharded workers, capped admission and calibration,
+// shrunken per-node evaluation, and cold state spilled past 128
+// resident nodes. The interesting columns are peak heap and
 // p99 admission latency, not accuracy (three tiny rounds teach the
 // model nothing).
 var ScaleFleet = FleetScale{
 	Sizes: []int{1000}, Bootstrap: 8, Rounds: []int{6, 6},
 	Classes: 3, Perms: 4, Seed: 31,
 	MaxRoundSamples: 256, MaxCalibSamples: 256,
-	Shards: 8, BatchSize: 64, MaxLiveNodes: 128, EvalSamples: 8,
+	Shards: 8, MaxLiveNodes: 128, EvalSamples: 8,
 }
 
 // FleetRow is one fleet size's outcome.
@@ -123,8 +120,6 @@ func AblationFleet(s FleetScale) FleetResult {
 		cfg.MaxRoundSamples = s.MaxRoundSamples
 		cfg.MaxCalibSamples = s.MaxCalibSamples
 		cfg.Shards = s.Shards
-		cfg.BatchSize = s.BatchSize
-		cfg.BatchWait = time.Duration(s.BatchWaitMs) * time.Millisecond
 		cfg.MaxLiveNodes = s.MaxLiveNodes
 		cfg.EvalSamples = s.EvalSamples
 		cfg.DownlinkFaults = s.Faults

@@ -23,10 +23,10 @@ import (
 // checkpointing: an abandoned straggler could still be running.
 
 const (
-	// ckptMagic 0003: the server section is cloud.Server's own codec and
-	// the fingerprint grew InSituFrac and Severity; the bump makes a 0002
-	// snapshot fail on its magic instead of mis-decoding.
-	ckptMagic    = "ISFL0003"
+	// ckptMagic 0004: the server section and every node blob lost the
+	// diagnoser's never-drawn RNG word; the bump makes a 0003 snapshot
+	// fail on its magic instead of mis-decoding.
+	ckptMagic    = "ISFL0004"
 	historyMagic = "ISFH0001"
 	// telemetryMagic frames the registry snapshot that rides between the
 	// history and the fleet state, so windowed percentile state survives
@@ -41,10 +41,10 @@ const (
 var ErrConfigMismatch = core.ErrConfigMismatch
 
 // fingerprint lists the identity-defining configuration as u64s.
-// Behavior-affecting knobs only: Shards, BatchSize, BatchWait and
-// MaxLiveNodes are deliberately absent, because reports are
-// byte-identical across their settings — a checkpoint taken at shards=1
-// must resume at shards=16. InSituFrac and Severity are in: the fleet
+// Behavior-affecting knobs only: Shards and MaxLiveNodes are
+// deliberately absent, because reports are byte-identical across their
+// settings — a checkpoint taken at shards=1 must resume at shards=16.
+// InSituFrac and Severity are in: the fleet
 // has no way to change either mid-run, and its nodes (remote ones are
 // configured at the handshake, before any Restore) keep the caller's
 // values, so a snapshot from another environment must not load.

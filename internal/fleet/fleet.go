@@ -2,8 +2,8 @@
 // node to a concurrent deployment: one Cloud server services N in-situ
 // nodes, each running the node half of the loop (capture → diagnose →
 // upload) on its own goroutine with its own dataset shard, seeded lossy
-// links and uplink meter. The server batches the round's uploads through
-// a bounded queue, admits them under a per-round cap (so one chatty or
+// links and uplink meter. The server collects the round's uploads one
+// response at a time, admits them under a per-round cap (so one chatty or
 // recovering node cannot monopolize the retrain), runs ONE incremental
 // retrain on the aggregated set, recalibrates the diagnosis threshold on
 // the pooled calibration samples, and fans the versioned bundle out to
@@ -68,10 +68,6 @@ type Config struct {
 	// permanently dark — they keep capturing and evaluating but nothing
 	// moves in either direction. The rest of the fleet must not stall.
 	OutageNodes []int
-	// QueueDepth bounds the server's ingestion queue (messages, not
-	// samples). Workers block when it is full — backpressure, not loss.
-	// 0 means Nodes.
-	QueueDepth int
 	// Shards partitions the in-process fleet's nodes across this many
 	// independent ingestion shards (shardOf: id mod Shards), each with
 	// its own bounded queue and worker goroutine. 0 means one shard per
@@ -80,20 +76,13 @@ type Config struct {
 	// goroutines and hot state. Reports are byte-identical for every
 	// value. Ignored by wire fleets (their workers are processes).
 	Shards int
-	// BatchSize is how many node responses the ingestion batcher
-	// coalesces per flush to the server's collect loop. 0 means a
-	// default of 64. Purely a throughput valve: batch boundaries never
-	// reach the protocol, so reports are byte-identical for every value.
-	BatchSize int
-	// BatchWait bounds how long a partial batch may age before it is
-	// flushed anyway. 0 flushes as soon as the collect loop can take the
-	// pending batch — the right default for round-synchronous phases,
-	// where the last response of a phase must never wait out a timer.
-	BatchWait time.Duration
 	// MaxLiveNodes caps how many node states the in-process fleet keeps
-	// hydrated in memory, split evenly across shards (minimum one per
-	// shard); the least-recently-used remainder spills to SpillDir via
-	// the checkpoint framing and restores bit-identically on demand.
+	// hydrated in memory, split evenly across shards; the
+	// least-recently-used remainder spills to SpillDir via the checkpoint
+	// framing and restores bit-identically on demand. Every shard keeps at
+	// least one node resident, so the cap can only bind with at most
+	// MaxLiveNodes shards: New rejects a larger shard count — the default
+	// Shards of 0 (one per node) included — rather than spill nothing.
 	// 0 keeps every node resident — fine to N≈1k, not to 10k+.
 	MaxLiveNodes int
 	// SpillDir is where cold node state spills when MaxLiveNodes is
@@ -230,18 +219,23 @@ type Fleet struct {
 	round int
 
 	peers []peer
-	// ingest coalesces every node response (local shard workers and
-	// remote peers alike) into batches for the collect loop.
-	ingest *batcher
+	// results hands every node response (local shard workers and remote
+	// peers alike) to the collect loop, one at a time. Unbuffered: a
+	// worker waits for the server to take its response before it starts
+	// its next node — backpressure, not loss. quit, closed by Close,
+	// releases a worker whose response nobody will collect.
+	results chan roundMsg
+	quit    chan struct{}
 	// shards are the in-process ingestion partitions (nil for wire
 	// fleets); spillDir holds their cold node state when
 	// Config.MaxLiveNodes is set, removed on Close when ownSpill.
 	shards   []*shard
 	spillDir string
 	ownSpill bool
-	// admitLats accumulates every collected response's wall-clock
-	// admission latency (seconds) across rounds — the p99 source for the
-	// scale benchmarks. Wall-clock, so never part of a RoundReport.
+	// admitLats accumulates every collected capture response's
+	// wall-clock admission latency (seconds) across rounds — the p99
+	// source for the scale benchmarks. Wall-clock, so never part of a
+	// RoundReport.
 	admitLats []float64
 	wall      float64
 	closed    bool
@@ -281,21 +275,23 @@ func newServer(cfg Config) *Fleet {
 			FullScaleSpec: cfg.FullScaleSpec,
 			Cost:          cfg.Cost,
 		}),
+		results: make(chan roundMsg),
+		quit:    make(chan struct{}),
 	}
 	f.outage = f.outageSet()
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = cfg.Nodes
-	}
-	f.ingest = newBatcher(depth, cfg.BatchSize, cfg.BatchWait)
 	return f
 }
 
-// submit routes one node response into the ingestion batcher, blocking
-// (backpressure) until the collect loop takes its batch. The only error
-// is a shutdown race on stale straggler leftovers, which the caller
-// drops — round accounting has already moved on.
-func (f *Fleet) submit(msg roundMsg) error { return f.ingest.submit(msg) }
+// submit hands one node response to the collect loop, blocking
+// (backpressure) until the loop takes it. Only a straggler's stale
+// leftover can still be waiting here when the fleet closes; it is
+// dropped — round accounting moved on when RoundTimeout abandoned it.
+func (f *Fleet) submit(msg roundMsg) {
+	select {
+	case f.results <- msg:
+	case <-f.quit:
+	}
+}
 
 // outageSet expands Config.OutageNodes into a lookup.
 func (f *Fleet) outageSet() map[int]bool {
@@ -312,9 +308,9 @@ func (f *Fleet) outageSet() map[int]bool {
 // a 10k-node fleet is cheap until commands flow.
 func New(cfg Config) *Fleet {
 	f := newServer(cfg)
-	nshards := cfg.Shards
-	if nshards <= 0 || nshards > cfg.Nodes {
-		nshards = cfg.Nodes
+	nshards, err := cfg.ShardCount()
+	if err != nil {
+		panic(fmt.Sprintf("fleet: bad config: %v", err))
 	}
 	if cfg.MaxLiveNodes > 0 {
 		if cfg.SpillDir != "" {
@@ -340,9 +336,6 @@ func New(cfg Config) *Fleet {
 		maxLive := 0
 		if cfg.MaxLiveNodes > 0 {
 			maxLive = (cfg.MaxLiveNodes + nshards - 1) / nshards
-			if maxLive < 1 {
-				maxLive = 1
-			}
 		}
 		f.shards[s] = newShard(f, s, members, maxLive)
 	}
@@ -370,9 +363,9 @@ func (f *Fleet) Close() {
 		ln.Close()
 		<-lnDone
 	}
-	// Stop the batcher before the workers: a stale straggler blocked in
-	// submit must unblock (with an error) for its shard to drain.
-	f.ingest.stop()
+	// Before the workers: a stale straggler blocked in submit must
+	// unblock for its shard to drain.
+	close(f.quit)
 	for _, p := range peers {
 		if p != nil { // Listen may abort with slots never filled
 			p.shutdown()
@@ -478,21 +471,16 @@ func (f *Fleet) broadcast(cmd workerCmd, parked map[int]bool) map[int]bool {
 	return expected
 }
 
-// collect gathers the expected responses of the given kind/round from
-// the ingestion batcher, discarding stale leftovers from timed-out
-// phases. Responses arrive coalesced — one batch per receive — and are
-// flattened back into per-node messages here, so batch boundaries never
-// reach the protocol. Returns per-node-id messages plus each node's
-// wall-clock arrival latency since start (the health plane's
-// admission-latency signal; latencies never enter RoundReports).
-// Missing ids timed out or, under lease expiry, were parked mid-collect
-// (recorded in parked, removed from expected). each, when non-nil, is
-// called once per accepted message as it arrives — the hook the upload
-// path uses to trim over-cap samples incrementally instead of holding a
-// whole fleet's uploads until admission.
-func (f *Fleet) collect(kind cmdKind, round int, expected map[int]bool, start time.Time, parked map[int]bool, each func(roundMsg)) (map[int]roundMsg, map[int]float64) {
+// collect gathers the expected responses of the given kind/round,
+// discarding stale leftovers from timed-out phases, and returns them by
+// node id. Missing ids timed out or, under lease expiry, were parked
+// mid-collect (recorded in parked, removed from expected). each, when
+// non-nil, is called once per accepted message as it arrives — the hook
+// the upload path uses to time admissions and to trim over-cap samples
+// incrementally instead of holding a whole fleet's uploads until
+// admission.
+func (f *Fleet) collect(kind cmdKind, round int, expected, parked map[int]bool, each func(roundMsg)) map[int]roundMsg {
 	got := make(map[int]roundMsg, len(expected))
-	lats := make(map[int]float64, len(expected))
 	var timeout <-chan time.Time
 	if f.Cfg.RoundTimeout > 0 {
 		timer := time.NewTimer(f.Cfg.RoundTimeout)
@@ -514,34 +502,30 @@ func (f *Fleet) collect(kind cmdKind, round int, expected map[int]bool, start ti
 	}
 	for len(got) < len(expected) {
 		select {
-		case batch := <-f.ingest.out:
-			for _, m := range batch {
-				if _, dup := got[m.node]; dup || m.kind != kind || m.round != round || !expected[m.node] {
-					countStaleDiscard()
-					continue
-				}
-				got[m.node] = m
-				lat := time.Since(start).Seconds()
-				lats[m.node] = lat
-				f.admitLats = append(f.admitLats, lat)
-				if each != nil {
-					each(m)
-				}
+		case m := <-f.results:
+			if _, dup := got[m.node]; dup || m.kind != kind || m.round != round || !expected[m.node] {
+				countStaleDiscard()
+				continue
+			}
+			got[m.node] = m
+			if each != nil {
+				each(m)
 			}
 		case <-timeout:
-			return got, lats
+			return got
 		case <-leaseTick:
 			for _, id := range f.parkExpired(expected, got) {
 				parked[id] = true
 			}
 		}
 	}
-	return got, lats
+	return got
 }
 
 // AdmitLatencyP99 returns the p99 of every wall-clock admission latency
-// collected so far, in seconds — the scale benchmark's headline column.
-// Wall-clock, so it varies run to run and never enters a RoundReport.
+// (a round's broadcast to a capture response collected) so far, in
+// seconds — the scale benchmark's headline column. Wall-clock, so it
+// varies run to run and never enters a RoundReport.
 func (f *Fleet) AdmitLatencyP99() float64 {
 	if len(f.admitLats) == 0 {
 		return 0
@@ -567,11 +551,17 @@ const trimEvery = 128
 // later step is deterministic regardless of goroutine scheduling. While
 // responses stream in it incrementally trims each node's samples to the
 // most the admission caps could ever grant it, so the server's resident
-// upload pool is O(cap), not O(N), by the time admit runs.
+// upload pool is O(cap), not O(N), by the time admit runs. Also returns
+// each node's wall-clock arrival latency since start (the health plane's
+// admission-latency signal; latencies never enter RoundReports).
 func (f *Fleet) collectUploads(round int, expected map[int]bool, start time.Time, parked map[int]bool) ([]*core.Upload, map[int]float64) {
 	ups := make([]*core.Upload, len(f.peers))
+	lats := make(map[int]float64, len(expected))
 	arrivals := 0
-	_, lats := f.collect(cmdCapture, round, expected, start, parked, func(m roundMsg) {
+	f.collect(cmdCapture, round, expected, parked, func(m roundMsg) {
+		lat := time.Since(start).Seconds()
+		lats[m.node] = lat
+		f.admitLats = append(f.admitLats, lat)
 		up := m.up
 		ups[m.node] = &up
 		if arrivals++; arrivals%trimEvery == 0 {
@@ -671,7 +661,7 @@ func (f *Fleet) deployRound(round int, ups []*core.Upload, admitted []int, train
 		}
 	}
 	expected := f.broadcast(cmd, parked)
-	deps, _ := f.collect(cmdDeploy, round, expected, time.Now(), parked, nil)
+	deps := f.collect(cmdDeploy, round, expected, parked, nil)
 
 	rep := RoundReport{
 		Round:        round,

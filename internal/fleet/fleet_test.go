@@ -14,6 +14,7 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/dataset"
 	"insitu/internal/netsim"
+	"insitu/internal/telemetry"
 )
 
 func testCfg(nodes int) Config {
@@ -70,7 +71,6 @@ func TestFleetOutageNodeDoesNotBlock(t *testing.T) {
 	t.Parallel()
 	cfg := testCfg(4)
 	cfg.OutageNodes = []int{2}
-	cfg.QueueDepth = 2 // smaller than N: exercises backpressure too
 	reps := run(cfg, 32, []int{24, 24})
 
 	for _, rep := range reps {
@@ -125,26 +125,46 @@ func TestFleetAdmissionCap(t *testing.T) {
 	}
 }
 
-// A queue depth of one serializes ingestion without deadlocking: every
-// worker blocks until the server drains, and the round still completes.
-func TestFleetBackpressureQueueDepthOne(t *testing.T) {
+// The one-at-a-time hand-off serializes ingestion without deadlocking:
+// six workers each block until the server takes their response, and the
+// round still completes.
+func TestFleetBackpressure(t *testing.T) {
 	t.Parallel()
-	cfg := testCfg(6)
-	cfg.QueueDepth = 1
-	reps := run(cfg, 24, []int{16})
+	reps := run(testCfg(6), 24, []int{16})
 	if got := len(reps); got != 2 {
 		t.Fatalf("completed %d rounds, want 2", got)
 	}
 	if reps[1].Uploaded == 0 {
-		t.Fatal("no uploads arrived through the depth-1 queue")
+		t.Fatal("no uploads arrived through the hand-off")
+	}
+}
+
+// The admission p99 is over capture-phase arrivals only: the deploy
+// phase collects through the same loop but is timed from a different
+// start, so it must not land in the same population.
+func TestAdmitLatencyCountsCaptureArrivalsOnly(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(3)
+	cfg.EvalSamples = 8
+	f := New(cfg)
+	defer f.Close()
+	f.Bootstrap(8)
+	f.RunRound(8)
+	if got := len(f.admitLats); got != 6 {
+		t.Fatalf("%d admission latencies after 2 rounds x 3 nodes, want 6", got)
 	}
 }
 
 // RoundTimeout is the straggler valve: a node stalled mid-capture is
-// abandoned (TimedOut) and its late answers are discarded, after which
-// it rejoins cleanly.
+// abandoned (TimedOut) and its late answers are discarded and counted,
+// after which it rejoins cleanly.
 func TestFleetStragglerTimesOutAndRejoins(t *testing.T) {
 	t.Parallel()
+	// No other test in the package leaves stale messages behind, so the
+	// process-wide counter is this test's alone.
+	reg := telemetry.NewRegistry()
+	EnableTelemetry(reg)
+	defer EnableTelemetry(nil)
 	cfg := testCfg(3)
 	// One generous timeout for both rounds, fixed before the workers
 	// spawn: mutating Cfg mid-run races with worker reads of it, and the
@@ -173,8 +193,9 @@ func TestFleetStragglerTimesOutAndRejoins(t *testing.T) {
 		t.Fatal("bootstrap should have trained on the responsive nodes' uploads")
 	}
 
-	// Unblock the straggler; its stale round-0 answers must be
-	// discarded, not mistaken for round 1.
+	// Unblock the straggler; its stale round-0 answers (the capture, and
+	// the deploy queued behind it) must be discarded, not mistaken for
+	// round 1.
 	close(release)
 	rep := f.RunRound(16)
 	for id, nr := range rep.Nodes {
@@ -184,6 +205,50 @@ func TestFleetStragglerTimesOutAndRejoins(t *testing.T) {
 	}
 	if rep.Nodes[2].Uploaded == 0 {
 		t.Fatal("rejoined straggler uploaded nothing")
+	}
+	if got, want := rep.Nodes[2].Captured, rep.Nodes[0].Captured; got != want {
+		t.Fatalf("round 1 reports the straggler capturing %d images, its neighbours %d: a stale answer got in", got, want)
+	}
+	if got := reg.Counter("fleet_stale_messages_total").Value(); got != 2 {
+		t.Fatalf("fleet_stale_messages_total = %d, want 2", got)
+	}
+}
+
+// Close with a straggler's answer still un-collected: RoundTimeout
+// abandoned the node, nobody will ever receive what it submits, and
+// Close must release it — a worker left blocked in submit would keep its
+// shard from draining and Close from returning.
+func TestCloseReleasesUncollectedStraggler(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(3)
+	cfg.EvalSamples = 8
+	cfg.RoundTimeout = 5 * time.Second
+	f := New(cfg)
+	release := make(chan struct{})
+	f.stall = func(node, round int) {
+		if node == 2 {
+			<-release
+		}
+	}
+	if boot := f.Bootstrap(8); !boot.Nodes[2].TimedOut {
+		t.Fatal("stalled node should have timed out")
+	}
+
+	close(release)
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close hung on a straggler blocked in submit")
+	}
+	select {
+	case <-f.shards[2].done:
+	default:
+		t.Fatal("Close returned with the straggler's shard worker still running")
 	}
 }
 
@@ -298,9 +363,9 @@ func TestFleetResumeRejectsDamagedStreams(t *testing.T) {
 		t.Error("Resume accepted a pool count far beyond the stream")
 	}
 
-	copy(raw, "ISFL0002")
+	copy(raw, "ISFL0003")
 	if _, err := Resume(cfg, bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
-		t.Errorf("Resume of an ISFL0002 stream: %v, want a bad-magic error", err)
+		t.Errorf("Resume of an ISFL0003 stream: %v, want a bad-magic error", err)
 	}
 }
 

@@ -22,13 +22,12 @@ func (f *Fleet) recordHealth(rep RoundReport, admitLats map[int]float64, respond
 	}
 	if len(f.shards) > 0 {
 		// Round-boundary snapshot of the ingestion path: per-shard queue
-		// depths (normally 0 here — a hot shard shows up as a laggard)
-		// plus the batcher's unflushed occupancy.
+		// depths (normally 0 here — a hot shard shows up as a laggard).
 		depths := make([]int, len(f.shards))
 		for i, s := range f.shards {
 			depths[i] = len(s.queue)
 		}
-		ht.RecordIngest(depths, len(f.ingest.in))
+		ht.RecordIngest(depths)
 	}
 	tr := f.Cfg.Trace
 	for _, nr := range rep.Nodes {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +243,59 @@ func TestListenSurvivesSilentConnection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("agent %d: %v", id, err)
 		}
+	}
+}
+
+// A peer that only speaks the previous protocol version — whose node
+// state blob still carries the dropped diagnoser word — is refused at
+// negotiation with an Error frame, and its slot stays free for a current
+// agent.
+func TestListenRefusesPreviousProtocol(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	formed := make(chan *Fleet, 1)
+	go func() {
+		f, _ := Listen(testCfg(1), ln)
+		formed <- f
+	}()
+
+	old, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer old.Close()
+	prev := wire.ProtoMin - 1
+	hello := wire.Hello{Node: 0, MinProto: prev, MaxProto: prev}
+	if err := wire.WriteFrame(old, prev, wire.MsgHello, hello.Encode()); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	old.SetReadDeadline(time.Now().Add(handshakeGrace))
+	_, typ, payload, err := wire.ReadFrame(old)
+	if err != nil || typ != wire.MsgError {
+		t.Fatalf("protocol-%d hello answered with %v, %v; want an Error frame", prev, typ, err)
+	}
+	if text, _ := wire.DecodeError(payload); !strings.Contains(text, "no mutual protocol version") {
+		t.Fatalf("refusal reads %q", text)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	agentErr := make(chan error, 1)
+	go func() { agentErr <- RunAgent(conn, 0) }()
+	f := <-formed
+	if f == nil {
+		t.Fatal("Listen failed after refusing the old peer")
+	}
+	f.Close()
+	if err := <-agentErr; err != nil {
+		t.Fatalf("agent: %v", err)
 	}
 }
 

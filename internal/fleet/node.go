@@ -18,13 +18,12 @@ import (
 // from (Config, id, outage), so the two are bit-identical.
 
 // Per-node seed derivation offsets. The server's streams sit at
-// Seed+1…Seed+6 (cloud.Config); nodes derive from disjoint ranges so no
+// Seed+1…Seed+5 (cloud.Config); nodes derive from disjoint ranges so no
 // stream is shared across goroutines.
 const (
 	seedOffGen      = 101 // + id*131: dataset shard
 	seedOffUplink   = 301 // + id: uplink fault dice
 	seedOffDownlink = 401 // + id: downlink fault dice
-	seedOffDiag     = 601 // + id: diagnosis probe picks
 )
 
 // nodeConfig derives node id's configuration from the fleet's.
@@ -37,7 +36,6 @@ func nodeConfig(cfg Config, id int, outage bool) core.NodeConfig {
 		Probes:        cfg.Probes,
 		Seed:          cfg.Seed,
 		GenSeed:       cfg.Seed + seedOffGen + uint64(id)*131,
-		DiagSeed:      cfg.Seed + seedOffDiag + uint64(id),
 		InSituFrac:    cfg.InSituFrac,
 		Severity:      cfg.Severity,
 		Link:          cfg.Link,
@@ -97,7 +95,7 @@ type stateReply struct {
 	err  error
 }
 
-// roundMsg is one node→server response on the bounded results queue.
+// roundMsg is one node→server response, handed over by Fleet.submit.
 type roundMsg struct {
 	node  int
 	round int

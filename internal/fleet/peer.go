@@ -10,9 +10,9 @@ var errPeerGone = errors.New("fleet: peer connection lost")
 // interface, so the round protocol (broadcast → collect → admit →
 // retrain → deploy) is identical whether a node lives inside an
 // in-process ingestion shard (shardPeer, shard.go) or is an insitu-node
-// process across a socket (remotePeer, remote.go). Responses always
-// arrive through the fleet's shared ingestion batcher; state commands
-// answer on cmd.reply.
+// process across a socket (remotePeer, remote.go). Round responses
+// always arrive through Fleet.submit; state commands answer on
+// cmd.reply.
 type peer interface {
 	// id is the node id this peer serves.
 	id() int

@@ -479,8 +479,8 @@ func (p *remotePeer) loop() {
 }
 
 // exchange performs one request/response round trip and delivers the
-// result where the protocol expects it: the fleet's results queue for
-// round commands, cmd.reply for state commands. A request that cannot
+// result where the protocol expects it: Fleet.submit for round
+// commands, cmd.reply for state commands. A request that cannot
 // complete (node parked, command deadline passed, fleet shutting down)
 // yields no round message — the lease/quorum machinery or
 // Config.RoundTimeout accounts for the node instead.
@@ -528,7 +528,7 @@ func (p *remotePeer) exchange(cmd workerCmd) {
 			p.dropCurrent()
 			return
 		}
-		_ = p.f.submit(roundMsg{
+		p.f.submit(roundMsg{
 			node: p.nodeID, round: cmd.round, kind: cmdCapture,
 			up: core.Upload{
 				Captured: int(u.Captured),
@@ -553,7 +553,7 @@ func (p *remotePeer) exchange(cmd workerCmd) {
 			p.dropCurrent()
 			return
 		}
-		_ = p.f.submit(roundMsg{
+		p.f.submit(roundMsg{
 			node: p.nodeID, round: cmd.round, kind: cmdDeploy,
 			dep: core.Deployed{
 				Result: deploy.Result{

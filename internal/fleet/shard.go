@@ -15,9 +15,8 @@ import (
 // independent shards (shardOf — a node id's shard never changes), each
 // with its own bounded command queue and one worker goroutine that owns
 // the shard's node states outright. The worker executes commands
-// against its nodes and submits responses to the fleet's ingestion
-// batcher, so the server's round loop sees coalesced batches no matter
-// how many shards fed them.
+// against its nodes and hands each response to the server's collect
+// loop (Fleet.submit), waiting there until it is taken.
 //
 // The default Config.Shards of 0 means one shard per node — exactly the
 // legacy one-goroutine-per-node topology, where a stalled node can
@@ -39,6 +38,22 @@ import (
 // [0,N), so this is a perfect partition with no hashing needed, and it
 // keeps the default S=N case an identity mapping.
 func shardOf(id, shards int) int { return id % shards }
+
+// ShardCount resolves Shards for an in-process fleet — 0, or more than
+// Nodes, means one shard per node — and rejects a MaxLiveNodes that
+// topology cannot honour: every shard keeps at least one node resident,
+// so more shards than MaxLiveNodes would silently spill nothing.
+func (cfg Config) ShardCount() (int, error) {
+	n := cfg.Shards
+	if n <= 0 || n > cfg.Nodes {
+		n = cfg.Nodes
+	}
+	if cfg.MaxLiveNodes > 0 && n > cfg.MaxLiveNodes {
+		return 0, fmt.Errorf("max-live-nodes %d cannot bind across %d shards (each keeps one node resident): set shards to at most %d",
+			cfg.MaxLiveNodes, n, cfg.MaxLiveNodes)
+	}
+	return n, nil
+}
 
 // shardCmd is one queued instruction for a shard worker.
 type shardCmd struct {
@@ -78,14 +93,13 @@ func newShard(f *Fleet, idx, members, maxLive int) *shard {
 }
 
 // run is the shard worker: execute each command against the target
-// node, always answer. Round responses go through the fleet's batcher
-// (backpressure lives there now); state commands answer on cmd.reply.
-// A batcher shutdown mid-submit only happens to stale straggler
-// leftovers after the last round, so the error is dropped.
+// node, always answer. Round responses go to the collect loop through
+// Fleet.submit (backpressure lives there); state commands answer on
+// cmd.reply.
 func (s *shard) run() {
 	defer close(s.done)
 	for sc := range s.queue {
-		countShardQueueDepth(s.idx, len(s.queue))
+		countShardQueue(s.idx, len(s.queue))
 		n, err := s.cache.get(sc.node)
 		if err != nil {
 			// A spill blob that fails to restore is the same poisoned
@@ -111,7 +125,7 @@ func (s *shard) run() {
 			cmd.reply <- stateReply{err: n.LoadState(bytes.NewReader(cmd.stateIn))}
 			continue
 		}
-		_ = s.f.submit(msg)
+		s.f.submit(msg)
 	}
 }
 
@@ -126,7 +140,7 @@ func (s *shard) release() {
 
 // shardPeer adapts one node id of a shard to the peer interface the
 // round protocol drives. Commands for every member funnel into the
-// shard's one queue; responses come back through the fleet batcher.
+// shard's one queue; responses come back through Fleet.submit.
 type shardPeer struct {
 	s      *shard
 	nodeID int
@@ -139,14 +153,14 @@ func (p *shardPeer) enqueue(cmd workerCmd, block bool) bool {
 	if !block {
 		select {
 		case p.s.queue <- sc:
-			countShardQueueDepth(p.s.idx, len(p.s.queue))
+			countShardQueue(p.s.idx, len(p.s.queue))
 			return true
 		default:
 			return false
 		}
 	}
 	p.s.queue <- sc
-	countShardQueueDepth(p.s.idx, len(p.s.queue))
+	countShardQueue(p.s.idx, len(p.s.queue))
 	return true
 }
 

@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"insitu/internal/netsim"
 )
 
-// The tentpole contract: sharding, batching and state spilling are pure
+// The tentpole contract: sharding and state spilling are pure
 // throughput/memory valves — RoundReports must be byte-identical for
-// every (Shards, BatchSize, BatchWait, MaxLiveNodes) combination,
-// because batch boundaries never reach the protocol and admission stays
-// a node-id-ordered merge over the complete round.
+// every (Shards, MaxLiveNodes) combination, because arrival order never
+// reaches the protocol and admission stays a node-id-ordered merge over
+// the complete round.
 func TestFleetDeterministicAcrossShardTopologies(t *testing.T) {
 	t.Parallel()
 	base := testCfg(8)
@@ -33,9 +32,7 @@ func TestFleetDeterministicAcrossShardTopologies(t *testing.T) {
 		{"shards=1", func(c *Config) { c.Shards = 1 }},
 		{"shards=4", func(c *Config) { c.Shards = 4 }},
 		{"shards=16(clamped)", func(c *Config) { c.Shards = 16 }},
-		{"batch-wait=0/batch=1", func(c *Config) { c.Shards = 4; c.BatchSize = 1 }},
-		{"batch-wait=5ms", func(c *Config) { c.Shards = 4; c.BatchWait = 5 * time.Millisecond }},
-		{"spill", func(c *Config) { c.Shards = 4; c.MaxLiveNodes = 2 }},
+		{"spill", func(c *Config) { c.Shards = 2; c.MaxLiveNodes = 2 }},
 	}
 	for _, v := range variants {
 		v := v
@@ -51,109 +48,32 @@ func TestFleetDeterministicAcrossShardTopologies(t *testing.T) {
 	}
 }
 
-// submitN pushes n distinct messages through b concurrently and returns
-// the per-submit errors.
-func submitN(b *batcher, n int) chan error {
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(id int) {
-			errs <- b.submit(roundMsg{node: id, kind: cmdCapture})
-		}(i)
-	}
-	return errs
-}
-
-// A full batch must flush without any deadline: size is the primary
-// valve.
-func TestBatcherFlushOnSize(t *testing.T) {
+// A resident-node cap smaller than the shard count cannot bind — every
+// shard keeps one node hydrated — so the config is refused instead of
+// silently spilling nothing; the default one-shard-per-node topology is
+// the case that used to slip through.
+func TestNewRejectsMaxLiveNodesBelowShardCount(t *testing.T) {
 	t.Parallel()
-	b := newBatcher(16, 4, time.Hour) // deadline effectively never
-	defer b.stop()
-	errs := submitN(b, 4)
-	select {
-	case batch := <-b.out:
-		if len(batch) != 4 {
-			t.Fatalf("flushed %d messages, want 4", len(batch))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("full batch never flushed despite size >= batchSize")
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	cfg := testCfg(4)
+	cfg.MaxLiveNodes = 2
+	for _, shards := range []int{0, 3} {
+		cfg.Shards = shards
+		if _, err := cfg.ShardCount(); err == nil {
+			t.Fatalf("shards=%d: ShardCount accepted max-live-nodes 2", shards)
 		}
 	}
-}
+	cfg.Shards = 2
+	if n, err := cfg.ShardCount(); n != 2 || err != nil {
+		t.Fatalf("shards=2: ShardCount = %d, %v; want 2, nil", n, err)
+	}
 
-// A partial batch must flush once its deadline expires, even though the
-// batch never fills.
-func TestBatcherFlushOnDeadline(t *testing.T) {
-	t.Parallel()
-	b := newBatcher(16, 1000, 20*time.Millisecond)
-	defer b.stop()
-	errs := submitN(b, 3)
-	start := time.Now()
-	select {
-	case batch := <-b.out:
-		if len(batch) != 3 {
-			t.Fatalf("flushed %d messages, want 3", len(batch))
+	cfg.Shards = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted max-live-nodes 2 over 4 one-node shards")
 		}
-		if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-			t.Fatalf("partial batch flushed after %v, before the 20ms deadline", elapsed)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("partial batch never aged out")
-	}
-	for i := 0; i < 3; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-}
-
-// With wait=0 a pending batch flushes as soon as the consumer reads —
-// no timer involved.
-func TestBatcherFlushImmediatelyWhenNoWait(t *testing.T) {
-	t.Parallel()
-	b := newBatcher(16, 1000, 0)
-	defer b.stop()
-	errs := submitN(b, 1)
-	select {
-	case batch := <-b.out:
-		if len(batch) != 1 {
-			t.Fatalf("flushed %d messages, want 1", len(batch))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("wait=0 batch never flushed")
-	}
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Shutdown must answer every pending submitter with errBatcherClosed —
-// nobody may hang, and late submits fail the same way.
-func TestBatcherFanbackOnShutdown(t *testing.T) {
-	t.Parallel()
-	b := newBatcher(16, 1000, time.Hour)
-	errs := submitN(b, 5)
-	// Give the run loop a moment to accumulate the pending items, then
-	// kill it with the batch unflushed.
-	time.Sleep(20 * time.Millisecond)
-	b.stop()
-	for i := 0; i < 5; i++ {
-		select {
-		case err := <-errs:
-			if err != errBatcherClosed {
-				t.Fatalf("pending submit got %v, want errBatcherClosed", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("pending submitter hung across stop")
-		}
-	}
-	if err := b.submit(roundMsg{}); err != errBatcherClosed {
-		t.Fatalf("late submit got %v, want errBatcherClosed", err)
-	}
+	}()
+	New(cfg).Close()
 }
 
 // The spill LRU must round-trip node state bit-identically: evict a

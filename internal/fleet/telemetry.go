@@ -27,9 +27,6 @@ type fleetStats struct {
 	parked         *telemetry.Counter // fleet_parked_total (lease expiries)
 	retrainSec     *telemetry.Gauge   // fleet_retrain_seconds_total (modeled, cumulative)
 	meanAccuracy   *telemetry.Gauge   // fleet_mean_accuracy (last round)
-	batchOccupancy *telemetry.Gauge   // fleet_batch_occupancy (pending items in the batcher)
-	batches        *telemetry.Counter // fleet_batches_total (ingestion flushes)
-	batchedMsgs    *telemetry.Counter // fleet_batched_messages_total (messages across flushes)
 	spills         *telemetry.Counter // fleet_node_spills_total (LRU evictions to disk)
 	spillRestores  *telemetry.Counter // fleet_node_spill_restores_total (rehydrations)
 }
@@ -56,9 +53,6 @@ func EnableTelemetry(reg *telemetry.Registry) {
 		parked:         reg.Counter("fleet_parked_total"),
 		retrainSec:     reg.Gauge("fleet_retrain_seconds_total"),
 		meanAccuracy:   reg.Gauge("fleet_mean_accuracy"),
-		batchOccupancy: reg.Gauge("fleet_batch_occupancy"),
-		batches:        reg.Counter("fleet_batches_total"),
-		batchedMsgs:    reg.Counter("fleet_batched_messages_total"),
 		spills:         reg.Counter("fleet_node_spills_total"),
 		spillRestores:  reg.Counter("fleet_node_spill_restores_total"),
 	})
@@ -83,26 +77,9 @@ func countParked() {
 	}
 }
 
-// countBatchDepth records the ingestion batcher's pending-item count —
-// the batch-occupancy gauge the health plane reads.
-func countBatchDepth(n int) {
-	if st := stats.Load(); st != nil {
-		st.batchOccupancy.Set(float64(n))
-	}
-}
-
-// countBatchFlush tallies one batcher flush of n messages.
-func countBatchFlush(n int) {
-	if st := stats.Load(); st != nil {
-		st.batches.Inc()
-		st.batchedMsgs.Add(int64(n))
-		st.batchOccupancy.Set(0)
-	}
-}
-
-// countShardQueueDepth records one shard's queue depth as a
-// {shard="i"} gauge series.
-func countShardQueueDepth(idx, n int) {
+// countShardQueue records one shard's queue depth as a {shard="i"}
+// gauge series.
+func countShardQueue(idx, n int) {
 	if st := stats.Load(); st != nil {
 		st.reg.Gauge(telemetry.Label("fleet_shard_queue_depth", "shard", strconv.Itoa(idx))).Set(float64(n))
 	}

@@ -42,12 +42,9 @@ type Options struct {
 	Severity        float64
 	OutageNodes     string
 	UplinkFaultRate float64
-	QueueDepth      int
 	MaxRoundSamples int
 	MaxCalibSamples int
 	Shards          int
-	BatchSize       int
-	BatchWait       time.Duration
 	MaxLiveNodes    int
 	SpillDir        string
 	EvalSamples     int
@@ -75,23 +72,18 @@ func (o *Options) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.OutageNodes, "outage-nodes", "", "comma-separated node ids in permanent link blackout")
 	fs.Float64Var(&o.UplinkFaultRate, "uplink-fault-rate", 0,
 		"per-transfer probability an upload batch is lost (half corruption, half drops)")
-	fs.IntVar(&o.QueueDepth, "queue-depth", 0, "server ingestion queue bound in messages (0 = N)")
 	fs.IntVar(&o.MaxRoundSamples, "max-round-samples", 0, "per-round retrain admission cap in samples (0 = unlimited)")
 	fs.IntVar(&o.MaxCalibSamples, "max-calib-samples", 0, "per-round pooled calibration cap in samples (0 = unlimited)")
-	// The three ingestion valves interact: -shards bounds WHO can make
+	// The two ingestion valves interact: -shards bounds WHO can make
 	// progress concurrently (S worker goroutines instead of N; a shard's
-	// nodes execute serially), -batch-size bounds how many of their
-	// responses coalesce into one server handoff, and -batch-wait bounds
-	// how long a partial batch may age before flushing anyway. Turning
-	// any of them changes throughput and memory, never results: reports
-	// are byte-identical for every combination.
+	// nodes execute serially) and -max-live-nodes how many node states
+	// stay in memory, split across those shards — so it needs at most
+	// that many shards. Turning either changes throughput and memory,
+	// never results: reports are byte-identical for every combination.
 	fs.IntVar(&o.Shards, "shards", 0,
 		"in-process only: ingestion shards, each one worker owning N/S nodes (0 = one per node)")
-	fs.IntVar(&o.BatchSize, "batch-size", 0, "node responses coalesced per ingestion batch (0 = 64)")
-	fs.DurationVar(&o.BatchWait, "batch-wait", 0,
-		"max age of a partial ingestion batch before it flushes anyway (0 = flush when the server is ready)")
 	fs.IntVar(&o.MaxLiveNodes, "max-live-nodes", 0,
-		"in-process only: node states kept hydrated; the LRU remainder spills to disk (0 = all resident)")
+		"in-process only: node states kept hydrated; the LRU remainder spills to disk (0 = all resident; needs -shards between 1 and this)")
 	fs.StringVar(&o.SpillDir, "spill-dir", "",
 		"where cold node state spills under -max-live-nodes (default: a temp dir removed on exit)")
 	fs.IntVar(&o.EvalSamples, "eval-samples", 0,
@@ -186,6 +178,14 @@ func (o *Options) Run() int {
 		return 2
 	}
 	rounds := ParseInts(o.Rounds, "round size")
+	if o.Listen == "" {
+		// The wire fleet's workers are processes: it ignores both flags.
+		topo := fleet.Config{Nodes: o.Nodes, Shards: o.Shards, MaxLiveNodes: o.MaxLiveNodes}
+		if _, err := topo.ShardCount(); err != nil {
+			fmt.Fprintln(os.Stderr, name+":", err)
+			return 2
+		}
+	}
 
 	downFaults, err := o.Obs.Faults(o.Seed)
 	if err != nil {
@@ -217,12 +217,9 @@ func (o *Options) Run() int {
 		DropProb:    o.UplinkFaultRate / 2,
 	}
 	cfg.OutageNodes = ParseInts(o.OutageNodes, "outage node id")
-	cfg.QueueDepth = o.QueueDepth
 	cfg.MaxRoundSamples = o.MaxRoundSamples
 	cfg.MaxCalibSamples = o.MaxCalibSamples
 	cfg.Shards = o.Shards
-	cfg.BatchSize = o.BatchSize
-	cfg.BatchWait = o.BatchWait
 	cfg.MaxLiveNodes = o.MaxLiveNodes
 	cfg.SpillDir = o.SpillDir
 	cfg.EvalSamples = o.EvalSamples

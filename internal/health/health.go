@@ -270,15 +270,12 @@ type NodeStatus struct {
 func (s NodeStatus) VerdictValue() Verdict { return s.verdict }
 
 // IngestStatus is the cloud ingestion path's view: per-shard command
-// queue depths plus the batcher's pending occupancy, sampled at each
-// round boundary. Sharded fleets use it to spot a hot shard (one deep
-// queue among shallow ones) without per-node inspection.
+// queue depths, sampled at each round boundary. Sharded fleets use it to
+// spot a hot shard (one deep queue among shallow ones) without per-node
+// inspection.
 type IngestStatus struct {
 	// Shards holds one queue depth per ingestion shard, indexed by shard.
 	Shards []int `json:"shard_queue_depths"`
-	// BatchOccupancy is how many messages sat unflushed in the upload
-	// batcher at the sample point (round boundaries: normally 0).
-	BatchOccupancy int `json:"batch_occupancy"`
 }
 
 // FleetStatus is the JSON document served at /fleetz.
@@ -562,19 +559,15 @@ func (t *Tracker) exportLocked(nd *node, s NodeStatus) {
 }
 
 // RecordIngest stores the latest ingestion-path sample: one queue depth
-// per shard plus the batcher's pending occupancy. Overwrites the
-// previous sample (this is a gauge, not a history). Safe for concurrent
-// use; no-op on a nil tracker.
-func (t *Tracker) RecordIngest(shardDepths []int, batchOccupancy int) {
+// per shard. Overwrites the previous sample (this is a gauge, not a
+// history). Safe for concurrent use; no-op on a nil tracker.
+func (t *Tracker) RecordIngest(shardDepths []int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ingest = &IngestStatus{
-		Shards:         append([]int(nil), shardDepths...),
-		BatchOccupancy: batchOccupancy,
-	}
+	t.ingest = &IngestStatus{Shards: append([]int(nil), shardDepths...)}
 }
 
 // Node returns the current status of one node.

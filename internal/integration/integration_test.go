@@ -88,7 +88,7 @@ func TestTrainShipDeployViaDisk(t *testing.T) {
 	nodeInf := models.TinyAlex(classes, 999)
 	nodeJig := jigsaw.NewNet(perms, 998)
 	d := diagnosis.NewJigsawDiagnoser(nodeJig, permSet, 3, 997)
-	if err := received.Apply(nodeInf, nodeJig, d); err != nil {
+	if err := received.ApplyAtomic(0, nodeInf, nodeJig, d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Threshold() != 0.37 {

@@ -53,10 +53,12 @@ const (
 // version 1 peers are rejected at negotiation. Version 3 appended
 // EvalSamples to NodeConfig (the scale fleets' shrunken post-deploy
 // evaluation) — another layout change, so version 2 peers are likewise
-// rejected.
+// rejected. Version 4 dropped the diagnoser's RNG word from the node
+// state blob (MsgStateBlob/MsgStateLoad): a version 3 peer would
+// mis-decode a session restore, so it is rejected too.
 const (
-	ProtoMin uint8 = 3
-	ProtoMax uint8 = 3
+	ProtoMin uint8 = 4
+	ProtoMax uint8 = 4
 )
 
 // ErrCRC marks a frame whose checksum failed but whose framing fields

@@ -5,11 +5,11 @@
 #
 #   * one race-built insitu-fleet run at N=1000 across 8 ingestion
 #     shards, with the scale valves open (-eval-samples, -max-*-samples,
-#     -max-live-nodes) so the run is short but still exercises batching,
-#     shard fan-in and LRU state spilling;
+#     -max-live-nodes) so the run is short but still exercises shard
+#     fan-in and LRU state spilling;
 #   * the health plane must produce a verdict for every node
 #     (insitu-top -require-verdicts) and count zero unhealthy nodes —
-#     a straggler-starved shard or wedged batcher shows up here.
+#     a straggler-starved shard or wedged hand-off shows up here.
 #
 # Scratch dir (SCALE_SMOKE_WORK pins it), binaries and cleanup: see
 # lib.sh.
@@ -25,7 +25,7 @@ time "$work/insitu-fleet" \
 	-nodes "$nodes" -shards "$shards" \
 	-bootstrap 8 -rounds 2 -classes 3 -seed 31 \
 	-eval-samples 4 -max-round-samples 128 -max-calib-samples 128 \
-	-max-live-nodes 128 -batch-size 64 \
+	-max-live-nodes 128 \
 	-health-out "$work/health.json" \
 	>"$work/run.out" 2>"$work/run.err"
 tail -n 3 "$work/run.out"
