@@ -95,7 +95,7 @@ type Node struct {
 	gen      *dataset.Generator
 	infer    *nn.Network
 	jig      *nn.Network
-	diag     *diagnosis.JigsawDiagnoser
+	diag     diagnosis.Diagnoser
 	meter    *netsim.Meter
 	uplink   *netsim.LossyLink // nil = perfect
 	downlink *netsim.LossyLink // nil = perfect
@@ -148,14 +148,14 @@ func (n *Node) Capture(count int, bootstrap bool) Upload {
 	up := Upload{Captured: count}
 	moved := capture
 	if !bootstrap {
-		up.Quality = diagnosis.Measure(n.diag, n.infer, capture)
+		var unrecognized []dataset.Sample
+		up.Quality, unrecognized = diagnosis.Assess(n.diag, n.infer, capture)
 		calibN := count / 10
 		if calibN < 12 {
 			calibN = 12
 		}
 		up.Calib = n.draw(calibN)
 		if n.cfg.Kind.UsesNodeDiagnosis() {
-			_, unrecognized := diagnosis.Split(n.diag, capture)
 			moved = append(unrecognized, up.Calib...)
 			up.CalibN = calibN
 			up.Captured += calibN

@@ -254,9 +254,6 @@ func (s *System) Meter() *netsim.Meter { return s.node.meter }
 // InferenceNet exposes the node's deployed inference network.
 func (s *System) InferenceNet() *nn.Network { return s.node.infer }
 
-// Diagnoser exposes the node's diagnosis task.
-func (s *System) Diagnoser() *diagnosis.JigsawDiagnoser { return s.node.diag }
-
 // ModelVersion returns the bundle version the node currently runs.
 func (s *System) ModelVersion() uint32 { return s.node.version }
 

@@ -1,13 +1,15 @@
 package diagnosis
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"insitu/internal/dataset"
 	"insitu/internal/jigsaw"
 	"insitu/internal/models"
 	"insitu/internal/tensor"
-	"insitu/internal/train"
 )
 
 // fakeDiagnoser scores images by their mean pixel value — deterministic
@@ -158,4 +160,115 @@ func TestJigsawDiagnoserSeparatesShiftedData(t *testing.T) {
 	}
 }
 
-var _ = train.Evaluate // reserved for future diagnosis-vs-training tests
+// Batched scoring forwards many images at once, so its GEMMs can take the
+// blocked (FMA) path where a batch of one took the plain loops: scores
+// may move in the last few ulps, never more than 1e-6, and a verdict can
+// only change for a score that close to the threshold.
+func TestScoresMatchPerImageScore(t *testing.T) {
+	g := dataset.NewGenerator(4, 14)
+	samples := g.MixedSet(40, 0.5, 0.8) // two full tiles and a ragged one
+	diagnosers := map[string]BatchDiagnoser{
+		"jigsaw":     NewJigsawDiagnoser(jigsaw.NewNet(8, 15), jigsaw.NewPermSet(8, 16), 3, 0),
+		"confidence": NewConfidenceDiagnoser(models.TinyAlex(4, 17)),
+	}
+	for name, d := range diagnosers {
+		scores := Scores(d, samples)
+		single := make([]float64, len(samples))
+		for i, s := range samples {
+			single[i] = d.Score(s.Image)
+			if diff := math.Abs(scores[i] - single[i]); diff > 1e-6 {
+				t.Errorf("%s: sample %d batched %v vs single %v (diff %g)", name, i, scores[i], single[i], diff)
+			}
+		}
+
+		sorted := append([]float64(nil), single...)
+		sort.Float64s(sorted)
+		d.SetThreshold((sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2)
+		rec, unrec := Split(d, samples)
+		var wantRec, wantUnrec int
+		for i, s := range single {
+			if math.Abs(s-d.Threshold()) <= 1e-6 {
+				t.Fatalf("%s: sample %d scores within 1e-6 of the threshold; pick another seed", name, i)
+			}
+			if s >= d.Threshold() {
+				wantRec++
+			} else {
+				wantUnrec++
+			}
+		}
+		if len(rec) != wantRec || len(unrec) != wantUnrec {
+			t.Errorf("%s: batched split %d/%d, per-image verdicts %d/%d", name, len(rec), len(unrec), wantRec, wantUnrec)
+		}
+	}
+}
+
+// A diagnoser without ScoreBatch is scored image by image, exactly.
+func TestScoresFallsBackToScore(t *testing.T) {
+	g := dataset.NewGenerator(4, 18)
+	samples := g.MixedSet(20, 0.5, 0.8)
+	d := &fakeDiagnoser{}
+	for i, sc := range Scores(d, samples) {
+		if want := d.Score(samples[i].Image); sc != want {
+			t.Fatalf("sample %d: Scores %v, Score %v", i, sc, want)
+		}
+	}
+}
+
+// Assess is Measure and Split from one scoring pass.
+func TestAssessMatchesMeasureAndSplit(t *testing.T) {
+	net := models.TinyAlex(4, 19)
+	d := &fakeDiagnoser{threshold: 0.45}
+	g := dataset.NewGenerator(4, 20)
+	samples := g.MixedSet(150, 0.5, 0.8) // three Predict chunks
+	q, unrec := Assess(d, net, samples)
+	if want := Measure(d, net, samples); q != want {
+		t.Errorf("Assess quality %+v, Measure %+v", q, want)
+	}
+	_, want := Split(d, samples)
+	if len(unrec) != len(want) {
+		t.Fatalf("Assess flags %d samples, Split %d", len(unrec), len(want))
+	}
+	for i := range unrec {
+		if unrec[i].Image != want[i].Image {
+			t.Fatalf("unrecognized sample %d differs from Split's", i)
+		}
+	}
+	if len(unrec) != int(math.Round(q.UploadFraction*150)) {
+		t.Errorf("%d unrecognized but upload fraction %v", len(unrec), q.UploadFraction)
+	}
+}
+
+// nanDiagnoser scores every image NaN: no score is at or above any
+// threshold.
+type nanDiagnoser struct{ fakeDiagnoser }
+
+func (nanDiagnoser) Score(*tensor.Tensor) float64 { return math.NaN() }
+
+// Assess counts and uploads a NaN score the same way: as unrecognized.
+func TestAssessNaNScoresUpload(t *testing.T) {
+	net := models.TinyAlex(4, 24)
+	samples := dataset.NewGenerator(4, 25).MixedSet(10, 0.5, 0.8)
+	q, unrec := Assess(&nanDiagnoser{}, net, samples)
+	if len(unrec) != len(samples) || q.UploadFraction != 1 {
+		t.Fatalf("NaN scores: %d of %d unrecognized, upload fraction %v", len(unrec), len(samples), q.UploadFraction)
+	}
+}
+
+// BenchmarkScores prices the batched path against one image per call:
+// compare the us/image of images=1 and images=48.
+func BenchmarkScores(b *testing.B) {
+	d := NewJigsawDiagnoser(jigsaw.NewNet(8, 21), jigsaw.NewPermSet(8, 22), 3, 0)
+	g := dataset.NewGenerator(4, 23)
+	for _, n := range []int{1, 48} {
+		samples := g.MixedSet(n, 0.5, 0.8)
+		b.Run(fmt.Sprintf("images=%d", n), func(b *testing.B) {
+			Scores(d, samples)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Scores(d, samples)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/image")
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"insitu/internal/tensor"
@@ -66,12 +67,44 @@ func BenchmarkDenseTrainStep(b *testing.B) {
 	}
 }
 
+// BenchmarkConvForwardEval prices eval-mode inference per image at b1,
+// where every conv layer runs one GEMM per image, and at b48, where it
+// runs one per panel of up to 512 columns. Two stacks: TinyAlex's five
+// convolutions on 24×24 images, whose per-image GEMMs are already
+// blocked, and the jigsaw trunk on 8×8 patches, whose per-patch GEMMs
+// are tiny. Compare us/image within a stack.
 func BenchmarkConvForwardEval(b *testing.B) {
-	net, x, _ := benchConvNet()
-	net.Forward(x, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Forward(x, false)
+	rng := tensor.NewRNG(11)
+	stacks := []struct {
+		name  string
+		convs []tensor.Conv2DGeom
+	}{
+		{"tinyalex", tinyAlexConvs},
+		{"patch", jigsawTrunkConvs},
+	}
+	for _, st := range stacks {
+		var layers []Layer
+		for i, g := range st.convs {
+			layers = append(layers, NewConv2D(fmt.Sprintf("conv%d", i+1), g, rng), NewReLU(fmt.Sprintf("relu%d", i+1)))
+			// Both stacks pool 2×2 after their first two convs.
+			if i < 2 {
+				layers = append(layers, NewMaxPool2D(fmt.Sprintf("pool%d", i+1), 2, 2))
+			}
+		}
+		net := NewNetwork(st.name, layers...)
+		g := st.convs[0]
+		for _, batch := range []int{1, 48} {
+			x := tensor.New(batch, g.InChannels, g.InHeight, g.InWidth)
+			x.FillNormal(rng, 0, 1)
+			b.Run(fmt.Sprintf("%s/b%d", st.name, batch), func(b *testing.B) {
+				net.Forward(x, false)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					net.Forward(x, false)
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/image")
+			})
+		}
 	}
 }

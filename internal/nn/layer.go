@@ -34,8 +34,19 @@ func (l *ReLU) Name() string { return l.name }
 // Params implements Layer; ReLU has none.
 func (l *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training forward records the mask
+// Backward needs; an eval forward leaves it empty.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		l.mask = l.mask[:0]
+		// max(v, 0) is the training branch without the branch: -0 and
+		// negatives become +0, NaN stays NaN (its sign bit may not).
+		out := tensor.New(x.Shape()...)
+		for i, v := range x.Data {
+			out.Data[i] = max(v, 0)
+		}
+		return out
+	}
 	out := x.Clone()
 	if cap(l.mask) < len(out.Data) {
 		l.mask = make([]bool, len(out.Data))

@@ -37,7 +37,8 @@ func (l *MaxPool2D) OutDims(h, w int) (int, int) {
 	return (h-l.Window)/l.Stride + 1, (w-l.Window)/l.Stride + 1
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training forward records the argmax
+// Backward needs; an eval forward leaves it empty.
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: pool %q wants rank-4 input, got %v", l.name, x.Shape()))
@@ -47,12 +48,15 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if oh < 1 || ow < 1 {
 		panic(fmt.Sprintf("nn: pool %q output empty for input %v", l.name, x.Shape()))
 	}
-	l.inShape = x.Shape()
 	out := tensor.New(b, c, oh, ow)
-	if cap(l.argmax) < out.Size() {
-		l.argmax = make([]int, out.Size())
+	l.argmax = l.argmax[:0]
+	if train {
+		l.inShape = x.Shape()
+		if cap(l.argmax) < out.Size() {
+			l.argmax = make([]int, out.Size())
+		}
+		l.argmax = l.argmax[:out.Size()]
 	}
-	l.argmax = l.argmax[:out.Size()]
 
 	oi := 0
 	for bi := 0; bi < b; bi++ {
@@ -75,7 +79,9 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					out.Data[oi] = best
-					l.argmax[oi] = bestIdx
+					if train {
+						l.argmax[oi] = bestIdx
+					}
 					oi++
 				}
 			}

@@ -34,42 +34,51 @@ func (g Conv2DGeom) ColCols() int { return g.OutHeight() * g.OutWidth() }
 // Im2Col stretches the local receptive fields of input (shaped
 // [C, H, W]) into the column matrix dst (shaped [N·K², R·C]), exactly the
 // step ① transformation of the paper's Fig. 8. Zero padding is
-// materialized as zeros.
+// materialized as zeros. It is Im2ColPanel's single-image case.
 func Im2Col(input *Tensor, g Conv2DGeom, dst *Tensor) {
 	if input.Rank() != 3 || input.shape[0] != g.InChannels || input.shape[1] != g.InHeight || input.shape[2] != g.InWidth {
 		panic("tensor: Im2Col input shape mismatch")
 	}
-	outH, outW := g.OutHeight(), g.OutWidth()
-	rows, cols := g.ColRows(), outH*outW
-	if dst.Rank() != 2 || dst.shape[0] != rows || dst.shape[1] != cols {
+	if dst.Rank() != 2 || dst.shape[0] != g.ColRows() || dst.shape[1] != g.ColCols() {
 		panic("tensor: Im2Col dst shape mismatch")
+	}
+	Im2ColPanel(input.Data, g, dst.Data, g.ColCols(), 0)
+}
+
+// Im2ColPanel writes the column matrix of one image in (a flat
+// [C, H, W] slice) into columns [off, off+R·C) of the row-major panel
+// dst, whose rows are ld wide: row r of the image's column matrix lands
+// at dst[r·ld+off:]. Placing t images side by side at off = i·R·C builds
+// the [N·K², t·R·C] panel one GEMM multiplies; Im2Col is the ld = R·C,
+// off = 0 case. Every element of the image's columns is written.
+func Im2ColPanel(in []float32, g Conv2DGeom, dst []float32, ld, off int) {
+	outH, outW := g.OutHeight(), g.OutWidth()
+	if len(in) != g.InChannels*g.InHeight*g.InWidth || off < 0 || off+outH*outW > ld || len(dst) < (g.ColRows()-1)*ld+off+outH*outW {
+		panic("tensor: Im2ColPanel shape mismatch")
 	}
 	if s := kstats.Load(); s != nil {
 		s.im2colOps.Add(1)
 	}
-	in := input.Data
-	out := dst.Data
 	k := g.KernelSize
 	for c := 0; c < g.InChannels; c++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
 				row := (c*k+ky)*k + kx
-				base := row * cols
+				base := row*ld + off
 				for oy := 0; oy < outH; oy++ {
+					dr := dst[base+oy*outW : base+(oy+1)*outW]
 					iy := oy*g.Stride + ky - g.Padding
 					if iy < 0 || iy >= g.InHeight {
-						for ox := 0; ox < outW; ox++ {
-							out[base+oy*outW+ox] = 0
-						}
+						clear(dr)
 						continue
 					}
 					inRow := (c*g.InHeight + iy) * g.InWidth
-					for ox := 0; ox < outW; ox++ {
+					for ox := range dr {
 						ix := ox*g.Stride + kx - g.Padding
 						if ix < 0 || ix >= g.InWidth {
-							out[base+oy*outW+ox] = 0
+							dr[ox] = 0
 						} else {
-							out[base+oy*outW+ox] = in[inRow+ix]
+							dr[ox] = in[inRow+ix]
 						}
 					}
 				}

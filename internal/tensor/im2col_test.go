@@ -202,3 +202,84 @@ func TestFillHeStatistics(t *testing.T) {
 		t.Fatalf("He init variance = %v, want ~%v", variance, want)
 	}
 }
+
+// naiveIm2Col is the element-by-element definition of the column matrix:
+// cols[(c·K+ky)·K+kx, oy·C+ox] = in[c, oy·S+ky−P, ox·S+kx−P], or 0 in the
+// padding.
+func naiveIm2Col(in *Tensor, g Conv2DGeom) []float32 {
+	outH, outW := g.OutHeight(), g.OutWidth()
+	k := g.KernelSize
+	out := make([]float32, g.ColRows()*outH*outW)
+	for c := 0; c < g.InChannels; c++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				row := (c*k+ky)*k + kx
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy := oy*g.Stride + ky - g.Padding
+						ix := ox*g.Stride + kx - g.Padding
+						if iy >= 0 && iy < g.InHeight && ix >= 0 && ix < g.InWidth {
+							out[row*outH*outW+oy*outW+ox] = in.At(c, iy, ix)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Im2Col and its panel form match the naive definition bit for bit on
+// padding wider than a kernel overhang, kernels wider than the input,
+// padding wider than the output (1×1 input), H ≠ W and a 2×2 input, at
+// strides 1 and 2. The panel is pre-filled with a sentinel so a write
+// outside the image's columns shows.
+func TestIm2ColMatchesNaive(t *testing.T) {
+	r := NewRNG(31)
+	type shape struct{ h, w int }
+	for _, sh := range []shape{{1, 1}, {2, 2}, {5, 7}, {8, 6}} {
+		for _, k := range []int{3, 5} {
+			for _, p := range []int{0, 1, 2} {
+				for _, s := range []int{1, 2} {
+					g := Conv2DGeom{InChannels: 2, InHeight: sh.h, InWidth: sh.w, KernelSize: k, Stride: s, Padding: p, OutChannels: 1}
+					if g.OutHeight() < 1 || g.OutWidth() < 1 {
+						continue
+					}
+					in := New(g.InChannels, g.InHeight, g.InWidth)
+					in.FillNormal(r, 0, 1)
+					want := naiveIm2Col(in, g)
+
+					cols := New(g.ColRows(), g.ColCols())
+					cols.Fill(42)
+					Im2Col(in, g, cols)
+					for i, w := range want {
+						if cols.Data[i] != w {
+							t.Fatalf("%+v: Im2Col[%d] = %v, want %v", g, i, cols.Data[i], w)
+						}
+					}
+
+					// Third image of a four-image panel.
+					rc := g.ColCols()
+					ld, off := 4*rc, 2*rc
+					panel := make([]float32, g.ColRows()*ld)
+					for i := range panel {
+						panel[i] = 42
+					}
+					Im2ColPanel(in.Data, g, panel, ld, off)
+					for row := 0; row < g.ColRows(); row++ {
+						for col := 0; col < ld; col++ {
+							got := panel[row*ld+col]
+							if col >= off && col < off+rc {
+								if w := want[row*rc+col-off]; got != w {
+									t.Fatalf("%+v: panel[%d,%d] = %v, want %v", g, row, col, got, w)
+								}
+							} else if got != 42 {
+								t.Fatalf("%+v: panel[%d,%d] outside the image's columns written", g, row, col)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

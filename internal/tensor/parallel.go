@@ -124,9 +124,13 @@ func gemmComputeTile(j *parJob, tile int) { gemmTile(&j.g, tile) }
 // ParallelChunks splits [0, n) into contiguous chunks and runs work on
 // each, using the persistent worker pool. work receives the chunk index
 // and its [i0, i1) range; chunk indices are dense in [0, chunks). It
-// returns the number of chunks used, which is 1 when n is small, the
-// machine is single-core, or the pool is busy with another parallel
-// section (in all of which cases work runs inline on the caller).
+// returns the number of chunks used, which is 1 when n is small or the
+// machine is single-core.
+//
+// The partition depends only on n and the pool's size, never on whether
+// the pool is free: a section that finds it busy runs the same chunks
+// one after another on the caller. A caller that reduces per-chunk
+// partials in chunk order therefore gets the same floats either way.
 func ParallelChunks(n int, work func(chunk, i0, i1 int)) int {
 	return parallelChunksOn(getPool(), n, work)
 }
@@ -139,7 +143,7 @@ func parallelChunksOn(p *workerPool, n int, work func(chunk, i0, i1 int)) int {
 	if chunks > n {
 		chunks = n
 	}
-	if chunks <= 1 || !p.mu.TryLock() {
+	if chunks <= 1 {
 		if s := kstats.Load(); s != nil {
 			s.chunksInl.Add(1)
 		}
@@ -148,6 +152,15 @@ func parallelChunksOn(p *workerPool, n int, work func(chunk, i0, i1 int)) int {
 	}
 	size := (n + chunks - 1) / chunks
 	chunks = (n + size - 1) / size
+	if !p.mu.TryLock() {
+		if s := kstats.Load(); s != nil {
+			s.chunksInl.Add(int64(chunks))
+		}
+		for c := 0; c < chunks; c++ {
+			work(c, c*size, min(n, (c+1)*size))
+		}
+		return chunks
+	}
 	if s := kstats.Load(); s != nil {
 		s.chunksPar.Add(int64(chunks))
 	}

@@ -68,26 +68,39 @@ func TestParallelChunksOnPoolWorkers(t *testing.T) {
 }
 
 // A parallel section issued from inside another parallel section must run
-// inline (pool busy) rather than deadlock.
+// inline (pool busy) rather than deadlock, and must still cut its range
+// into the chunks a free pool would use, so per-chunk partials do not
+// depend on whether the pool was busy.
 func TestParallelChunksNestedRunsInline(t *testing.T) {
 	p := newWorkerPool(3)
 	defer p.close()
+	free := parallelChunksOn(p, 10, func(_, _, _ int) {})
 	var outerCalls atomic.Int32
 	var innerChunks atomic.Int32
 	var total atomic.Int32
 	parallelChunksOn(p, 8, func(chunk, i0, i1 int) {
 		outerCalls.Add(1)
-		c := parallelChunksOn(p, 10, func(_, j0, j1 int) {
+		// Appended without a lock: the inner chunks must run one after
+		// another on this goroutine, in chunk order.
+		var order []int
+		c := parallelChunksOn(p, 10, func(ic, j0, j1 int) {
+			order = append(order, ic)
 			total.Add(int32(j1 - j0))
 		})
 		innerChunks.Add(int32(c))
+		for k, ic := range order {
+			if ic != k {
+				t.Errorf("inner chunks ran in order %v, want 0..%d", order, c-1)
+				break
+			}
+		}
 	})
-	// Every inner call must have collapsed to a single inline chunk, so
-	// the inner-chunk sum equals the number of outer invocations and each
-	// inner section still covers its full range.
+	// Every inner call must have used the free pool's partition, so the
+	// inner-chunk sum equals that count times the number of outer
+	// invocations and each inner section still covers its full range.
 	outer := outerCalls.Load()
-	if got := innerChunks.Load(); got != outer {
-		t.Errorf("sum of inner chunk counts = %d, want %d (all inline)", got, outer)
+	if got := innerChunks.Load(); got != outer*int32(free) {
+		t.Errorf("sum of inner chunk counts = %d, want %d (%d per busy section)", got, outer*int32(free), free)
 	}
 	if got := total.Load(); got != outer*10 {
 		t.Errorf("inner work covered %d indices, want %d", got, outer*10)
