@@ -86,42 +86,42 @@ bench-fleet-diff:
 bench-json:
 	$(GO) run ./cmd/insitu-bench -exp all -scale small -json BENCH_insitu.json >/dev/null
 
-# End-to-end observability proof: run a small closed-loop node simulation
-# with tracing on, then validate the JSONL (dense seq, monotonic ts) and
-# assert the stage/upload/deploy/planner events all fired.
+# End-to-end observability proof: run a small one-node closed loop with
+# tracing on, then validate the JSONL (dense seq, monotonic ts) and
+# assert the round/upload/deploy events all fired.
 trace-smoke:
-	$(GO) run ./cmd/insitu-node -variant d -bootstrap 24 -stages 16,16 -classes 4 \
+	$(GO) run ./cmd/insitu-fleet -nodes 1 -variant d -bootstrap 24 -rounds 16,16 -classes 4 \
 		-trace-out trace-smoke.jsonl >/dev/null
 	$(GO) run ./cmd/insitu-tracecheck \
-		-require core.stage,core.upload,core.deploy,planner.plan trace-smoke.jsonl
+		-require fleet.round,fleet.upload,fleet.deploy trace-smoke.jsonl
 	rm -f trace-smoke.jsonl
 
 # Resilience proof: fuzz the CRC-framed bundle decoder and the wire
-# frame decoder briefly, then run a closed-loop node simulation over a
-# lossy downlink with an outage window — retries, rollback and graceful
+# frame decoder briefly, then run a one-node closed loop over a lossy
+# downlink with an outage window — retries, rollback and graceful
 # degradation must not panic.
 fault-smoke:
 	$(GO) test -run Fuzz -fuzz FuzzFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run Fuzz -fuzz FuzzDecode -fuzztime 10s ./internal/deploy
-	$(GO) run ./cmd/insitu-node -variant d -bootstrap 24 -stages 16,16 -classes 4 \
+	$(GO) run ./cmd/insitu-fleet -nodes 1 -variant d -bootstrap 24 -rounds 16,16 -classes 4 \
 		-fault-rate 0.4 -outage 1:2 >/dev/null
 
-# Durability proof: run a node simulation to completion, run it again
-# with checkpointing and a self-SIGKILL after stage 1 (exit 137 is the
-# point, hence the leading -), resume from the on-disk snapshot, and
+# Durability proof: run a one-node closed loop to completion, run it
+# again with checkpointing and a self-SIGKILL after round 1 (exit 137 is
+# the point, hence the leading -), resume from the on-disk snapshot, and
 # demand a byte-identical report. Uses a prebuilt binary — `go run`
 # would report the child's SIGKILL as its own failure.
 crash-smoke:
-	$(GO) build -o crash-smoke-node ./cmd/insitu-node
-	./crash-smoke-node -variant d -bootstrap 24 -stages 16,16 -classes 4 \
+	$(GO) build -o crash-smoke-fleet ./cmd/insitu-fleet
+	./crash-smoke-fleet -nodes 1 -variant d -bootstrap 24 -rounds 16,16 -classes 4 \
 		-fault-rate 0.3 > crash-smoke-base.txt
-	-./crash-smoke-node -variant d -bootstrap 24 -stages 16,16 -classes 4 \
-		-fault-rate 0.3 -state-dir crash-smoke-state -kill-after-stage 1 \
+	-./crash-smoke-fleet -nodes 1 -variant d -bootstrap 24 -rounds 16,16 -classes 4 \
+		-fault-rate 0.3 -state-dir crash-smoke-state -kill-after-round 1 \
 		> /dev/null 2>&1
-	./crash-smoke-node -variant d -bootstrap 24 -stages 16,16 -classes 4 \
+	./crash-smoke-fleet -nodes 1 -variant d -bootstrap 24 -rounds 16,16 -classes 4 \
 		-fault-rate 0.3 -state-dir crash-smoke-state -resume > crash-smoke-resumed.txt
 	diff crash-smoke-base.txt crash-smoke-resumed.txt
-	rm -rf crash-smoke-node crash-smoke-base.txt crash-smoke-resumed.txt crash-smoke-state
+	rm -rf crash-smoke-fleet crash-smoke-base.txt crash-smoke-resumed.txt crash-smoke-state
 
 # Fleet proof: a 4-node concurrent run with one node in permanent
 # blackout and a lossy downlink, traced end to end; the trace must be
@@ -170,8 +170,8 @@ churn-smoke:
 scale-smoke:
 	./scripts/scale_smoke.sh
 
-# Refactoring proof: one SHA-256 over the stdout of both closed-loop
-# drivers (insitu-node for variants a-d with and without downlink
+# Refactoring proof: one SHA-256 over the stdout of the closed loop
+# (one-node insitu-fleet runs of variants a-d with and without downlink
 # faults, then a faulty 3-node insitu-fleet) at GOMAXPROCS=1. A change
 # that must not move reports prints the same digest as its parent commit
 # on the same host: `scripts/loop_digest.sh <parent checkout>` digests
@@ -181,5 +181,5 @@ loop-digest:
 
 clean:
 	rm -f trace-smoke.jsonl fleet-smoke.jsonl health-smoke.json health-smoke.jsonl bench-diff-fresh.json bench-fleet-fresh.json
-	rm -rf crash-smoke-node crash-smoke-base.txt crash-smoke-resumed.txt crash-smoke-state churn-smoke-work
+	rm -rf crash-smoke-fleet crash-smoke-base.txt crash-smoke-resumed.txt crash-smoke-state churn-smoke-work
 	$(GO) clean ./...

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"insitu/internal/core"
 	"insitu/internal/experiments"
 	"insitu/internal/fpgasim"
 	"insitu/internal/models"
@@ -202,10 +201,10 @@ func BenchmarkFig23(b *testing.B) {
 
 var (
 	sysOnce sync.Once
-	sysCmp  *core.Comparison
+	sysCmp  *experiments.Comparison
 )
 
-func systems() *core.Comparison {
+func systems() *experiments.Comparison {
 	sysOnce.Do(func() { sysCmp = experiments.RunSystems(experiments.PaperSystem) })
 	return sysCmp
 }

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"insitu/internal/core"
 	"insitu/internal/experiments"
 	"insitu/internal/metrics"
 	"insitu/internal/obs"
@@ -124,8 +123,8 @@ func main() {
 
 	// The closed-loop comparison backs both table2 and fig25; build it
 	// lazily and at most once.
-	var cmp *core.Comparison
-	systems := func() *core.Comparison {
+	var cmp *experiments.Comparison
+	systems := func() *experiments.Comparison {
 		if cmp == nil {
 			fmt.Fprintln(os.Stderr, "running closed-loop comparison (4 variants)...")
 			cmp = experiments.RunSystems(sysScale)

@@ -1,8 +1,11 @@
-// Command insitu-fleet simulates a concurrent multi-node deployment:
-// one Cloud server servicing N in-situ nodes, each on its own goroutine
-// with its own dataset shard and faulty links:
+// Command insitu-fleet runs the In-situ AI closed loop: one Cloud
+// server servicing N in-situ nodes, each with its own dataset shard and
+// faulty links. -nodes 1 is a single deployment through its
+// incremental-update lifetime (the closed loop behind Table II); every
+// flag below applies to it:
 //
 //	insitu-fleet -nodes 16 -bootstrap 64 -rounds 48,48
+//	insitu-fleet -nodes 1 -variant d -bootstrap 100 -rounds 200,400,800
 //
 // Per round, every node captures and diagnoses its shard, uploads the
 // unrecognized slice, the server aggregates the fleet's uploads under an
@@ -18,7 +21,7 @@
 // Durability: -state-dir DIR checkpoints the whole fleet (server,
 // replay pool, every node) after every -ckpt-every rounds; -resume
 // continues byte-identically. -kill-after-round N SIGKILLs the process
-// right after round N checkpoints — the crash used by `make fleet-smoke`.
+// right after round N checkpoints — the crash used by `make crash-smoke`.
 //
 // Health plane: every run tracks per-node verdicts (windowed failure
 // rates, admission-latency percentiles, accuracy drift vs the

@@ -4,7 +4,7 @@
 // specific events are present, which is how `make trace-smoke` and CI
 // verify a live run end to end:
 //
-//	insitu-tracecheck -require core.stage,core.upload,planner.plan trace.jsonl
+//	insitu-tracecheck -require fleet.round,fleet.upload,fleet.deploy trace.jsonl
 //	insitu-tracecheck -stats fleet.jsonl     # per-span duration table
 //
 // Any invalid line makes the exit code nonzero; validation still scans

@@ -7,7 +7,7 @@ import (
 )
 
 // Binary serialization helpers shared by every checkpoint writer in the
-// repo (core.System, fleet.Fleet, train.Loop callers). Snapshot formats
+// repo (fleet.Fleet, cloud.Server, core.Node, train.Loop). Snapshot formats
 // are little-endian u64 scalars plus length-prefixed opaque sections, so
 // the helpers live here next to the store that persists them.
 

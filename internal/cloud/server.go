@@ -57,10 +57,9 @@ const incrementalLR = 0.005
 // owns the trained copies of both networks, the replay pool of every
 // sample it has admitted, and the version counter of the bundles it
 // publishes. Bootstrap and Update are the retrain; Pack is the deploy.
-// Who captures the data and who receives the bundle — one synchronous
-// node (core.System) or a fleet of them behind an admission cap
-// (fleet.Fleet) — is the driver's business. A Server is not safe for
-// concurrent use.
+// Who captures the data and who receives the bundle — one node or many
+// behind an admission cap — is the driver's (fleet.Fleet) business. A
+// Server is not safe for concurrent use.
 type Server struct {
 	cfg      Config
 	infer    *nn.Network

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,10 +16,16 @@ import (
 	"insitu/internal/train"
 )
 
+// ErrConfigMismatch is returned when saved state was taken under an
+// incompatible configuration (different seed, variant, class count,
+// link topology…) — restoring it would silently produce a different
+// experiment.
+var ErrConfigMismatch = errors.New("core: checkpoint config mismatch")
+
 // NodeConfig is everything one node is built from. Seeds and fault
-// configs are explicit, so every driver — System for its single node,
-// the fleet per node id, a wire agent from its handshake — decides its
-// own derivation and none shares a stream with another node.
+// configs are explicit, so every driver — the fleet per node id, a wire
+// agent from its handshake — decides its own derivation and none shares
+// a stream with another node.
 type NodeConfig struct {
 	// ID names the node to its driver and in errors; it seeds nothing.
 	ID          int
@@ -32,9 +39,9 @@ type NodeConfig struct {
 	// GenSeed seeds the node's dataset shard.
 	GenSeed uint64
 	// InSituFrac is the fraction of captured data under in-situ
-	// pathologies; Severity their strength.
+	// pathologies; their strength is the driver's to set (SetSeverity),
+	// because it drifts during a run.
 	InSituFrac float64
-	Severity   float64
 	Link       netsim.Uplink
 	// Uplink and Downlink are the links' complete fault models, dice
 	// seeds and outage windows included; the zero value is a perfect
@@ -47,8 +54,6 @@ type NodeConfig struct {
 	// EvalSamples is how many fresh images the deployed model is graded
 	// on after a deploy; 0 means the paper-faithful 120.
 	EvalSamples int
-	// OnFault, when set, observes every delivery-loop fault.
-	OnFault func(deploy.Fault)
 }
 
 // Upload is a node's capture-phase answer. Samples is nil when the
@@ -88,10 +93,11 @@ const deployBackoffBase = 0.5
 // deployed copies of both networks and the diagnoser, an uplink meter
 // and seeded lossy links in both directions. Capture is the way up
 // (capture → diagnose → upload), Deploy the way down (deliver → apply →
-// evaluate). The same type serves System, an in-process fleet shard and
-// a wire agent; it is not safe for concurrent use.
+// evaluate). The same type serves an in-process fleet shard and a wire
+// agent; it is not safe for concurrent use.
 type Node struct {
 	cfg      NodeConfig
+	severity float64
 	gen      *dataset.Generator
 	infer    *nn.Network
 	jig      *nn.Network
@@ -120,6 +126,13 @@ func NewNode(cfg NodeConfig) *Node {
 // ID returns the id the node was configured with.
 func (n *Node) ID() int { return n.cfg.ID }
 
+// SetSeverity sets the strength of the in-situ pathologies every later
+// capture and evaluation renders under — environment drift, the
+// "ever-changing in-situ environments" of the paper's motivation. The
+// driver sets it before each command, so it is not part of the node's
+// saved state.
+func (n *Node) SetSeverity(severity float64) { n.severity = severity }
+
 // newLink builds a lossy link, or nil when cfg describes a perfect one.
 func newLink(up netsim.Uplink, cfg netsim.FaultConfig) *netsim.LossyLink {
 	if !cfg.Enabled() {
@@ -131,7 +144,7 @@ func newLink(up netsim.Uplink, cfg netsim.FaultConfig) *netsim.LossyLink {
 // draw renders the shard's next count images under the node's current
 // environment.
 func (n *Node) draw(count int) []dataset.Sample {
-	return n.gen.MixedSet(count, n.cfg.InSituFrac, n.cfg.Severity)
+	return n.gen.MixedSet(count, n.cfg.InSituFrac, n.severity)
 }
 
 // Capture runs the way up: render the shard's next count images, grade
@@ -178,25 +191,18 @@ func (n *Node) Capture(count int, bootstrap bool) Upload {
 	return up
 }
 
-// Deploy runs the way down: deliver the bundle through the downlink,
-// then grade whatever model the node now runs on fresh data from its
-// own shard.
+// Deploy runs the way down: ship the bundle over the (possibly faulty)
+// downlink with retry, exponential backoff and rollback, every
+// redelivery metered, then grade whatever model the node now runs on
+// fresh data from its own shard. On persistent failure the node is left
+// exactly as it was, serving its previous version — the next round's
+// bundle re-converges it once the link lets one through.
 func (n *Node) Deploy(b *deploy.Bundle) Deployed {
-	return Deployed{Result: n.deliver(b), Accuracy: n.evaluate()}
-}
-
-// deliver ships the bundle over the (possibly faulty) downlink with
-// retry, exponential backoff and rollback; every redelivery is metered.
-// On persistent failure the node is left exactly as it was, serving its
-// previous version — the next round's bundle re-converges it once the
-// link lets one through.
-func (n *Node) deliver(b *deploy.Bundle) deploy.Result {
 	res := deploy.Downlink{
 		Link:        n.downlink,
 		Meter:       n.meter,
 		Retries:     n.cfg.DeployRetries,
 		BackoffBase: deployBackoffBase,
-		OnFault:     n.cfg.OnFault,
 	}.Deliver(b, deploy.Target{
 		Current:   n.version,
 		Inference: n.infer,
@@ -204,17 +210,11 @@ func (n *Node) deliver(b *deploy.Bundle) deploy.Result {
 		Diag:      n.diag,
 	})
 	n.version = res.Version
-	return res
-}
-
-// evaluate measures the deployed model's accuracy on a fresh capture
-// mix.
-func (n *Node) evaluate() float64 {
 	count := n.cfg.EvalSamples
 	if count <= 0 {
 		count = 120
 	}
-	return train.Evaluate(n.infer, n.draw(count))
+	return Deployed{Result: res, Accuracy: train.Evaluate(n.infer, n.draw(count))}
 }
 
 // The node's state on the wire and on disk: version, RNG position,

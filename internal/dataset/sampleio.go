@@ -11,7 +11,7 @@ import (
 )
 
 // Binary serialization of samples, used by the checkpoint writers that
-// persist Cloud replay pools (core.System, fleet.Fleet). One sample is
+// persist Cloud replay pools (cloud.Server via fleet.Fleet). One sample is
 // label and condition as little-endian u64s followed by the raw float32
 // image bits — fixed-size, so a pool of n samples needs no per-sample
 // framing.

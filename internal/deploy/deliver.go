@@ -17,23 +17,6 @@ import (
 // node on its previous version after a persistent failure; core.Node
 // runs it for every deployment shape.
 
-// Fault classifies one delivery-loop event for telemetry hooks.
-type Fault int
-
-const (
-	// FaultRetry marks the start of a redelivery attempt.
-	FaultRetry Fault = iota
-	// FaultDrop marks a frame the link dropped outright.
-	FaultDrop
-	// FaultCorrupt marks an in-flight corruption the node's CRC caught.
-	FaultCorrupt
-	// FaultRollback marks a bundle ApplyAtomic rejected or rolled back.
-	FaultRollback
-	// FaultFailure marks an exhausted retry budget: the node keeps its
-	// previous model.
-	FaultFailure
-)
-
 // Target is the node-side state one delivery lands on.
 type Target struct {
 	Current   uint32 // bundle version the node currently runs
@@ -48,7 +31,6 @@ type Downlink struct {
 	Meter       *netsim.Meter     // retransmit accounting; nil = unmetered
 	Retries     int               // total delivery attempts, min 1
 	BackoffBase float64           // modeled seconds before the first redelivery; doubles per retry
-	OnFault     func(Fault)       // telemetry hook; nil = no-op
 }
 
 // Result summarizes one bundle's delivery.
@@ -67,14 +49,8 @@ type Result struct {
 // exactly as it was — stale bundles short-circuit instead of burning
 // the remaining budget (a newer version is already running).
 func (d Downlink) Deliver(b *Bundle, tgt Target) Result {
-	fault := func(f Fault) {
-		if d.OnFault != nil {
-			d.OnFault(f)
-		}
-	}
 	frame, err := b.EncodeBytes()
 	if err != nil {
-		fault(FaultFailure)
 		return Result{Version: tgt.Current, Failed: true,
 			Err: fmt.Errorf("deploy: encoding bundle: %w", err)}
 	}
@@ -108,7 +84,6 @@ func (d Downlink) Deliver(b *Bundle, tgt Target) Result {
 				d.Meter.Retransmit(int64(len(frame)))
 			}
 			out.Retransmits += int64(len(frame))
-			fault(FaultRetry)
 		}
 		raw := frame
 		delivery := netsim.DeliverOK
@@ -118,7 +93,6 @@ func (d Downlink) Deliver(b *Bundle, tgt Target) Result {
 		switch delivery {
 		case netsim.DeliverDrop:
 			out.Err = fmt.Errorf("deploy: bundle v%d lost in transit", b.Version)
-			fault(FaultDrop)
 			continue
 		case netsim.DeliverCorrupt:
 			raw = append([]byte(nil), frame...)
@@ -128,14 +102,12 @@ func (d Downlink) Deliver(b *Bundle, tgt Target) Result {
 		if err != nil {
 			// The node's CRC caught the corruption; ask for a redelivery.
 			out.Err = fmt.Errorf("deploy: downlink corrupted: %w", err)
-			fault(FaultCorrupt)
 			continue
 		}
 		if err := received.ApplyAtomic(tgt.Current, tgt.Inference, tgt.Jigsaw, tgt.Diag); err != nil {
 			// Mid-apply failure rolled the node back to its previous
 			// weights; stale bundles are not retried.
 			out.Err = fmt.Errorf("deploy: applying bundle: %w", err)
-			fault(FaultRollback)
 			if errors.Is(err, ErrStale) {
 				break
 			}
@@ -146,6 +118,5 @@ func (d Downlink) Deliver(b *Bundle, tgt Target) Result {
 		return out
 	}
 	out.Failed = true
-	fault(FaultFailure)
 	return out
 }

@@ -11,10 +11,10 @@ import (
 	"insitu/internal/ckpt"
 	"insitu/internal/core"
 	"insitu/internal/dataset"
+	"insitu/internal/fleet"
 	"insitu/internal/metrics"
 	"insitu/internal/models"
 	"insitu/internal/nn"
-	"insitu/internal/node"
 	"insitu/internal/train"
 )
 
@@ -51,20 +51,14 @@ type CrashResult struct {
 // snapshot directory) — including any configured link faults, whose
 // dice positions must also survive the crash.
 func AblationCrash(s SystemScale) CrashResult {
-	cfg := core.DefaultConfig(core.SystemInSituAI, s.Seed)
-	cfg.Classes = s.Classes
-	cfg.PermClasses = s.Perms
-	cfg.Faults = s.Faults
+	cfg := s.config(core.SystemInSituAI)
+	cfg.DownlinkFaults = s.Faults
 
 	var r CrashResult
 
 	// Uninterrupted baseline.
-	base := core.NewSystem(cfg)
-	baseline := []core.StageReport{base.Bootstrap(s.Bootstrap)}
-	for _, n := range s.Stages {
-		baseline = append(baseline, base.RunStage(n))
-	}
-	r.BaselineAccuracy = baseline[len(baseline)-1].NodeAccuracy
+	baseline := s.run(cfg)
+	r.BaselineAccuracy = baseline[len(baseline)-1].MeanAccuracy
 	baseJSON, err := json.Marshal(baseline)
 	if err != nil {
 		r.Err = err
@@ -84,7 +78,7 @@ func AblationCrash(s SystemScale) CrashResult {
 		}
 		r.KillStages = append(r.KillStages, kill)
 		r.Identical = append(r.Identical, bytes.Equal(got, baseJSON))
-		r.Accuracy = append(r.Accuracy, history[len(history)-1].NodeAccuracy)
+		r.Accuracy = append(r.Accuracy, history[len(history)-1].MeanAccuracy)
 	}
 
 	r.KillSteps, r.StepIdentical, r.Err = crashTrainLoop(s)
@@ -92,10 +86,10 @@ func AblationCrash(s SystemScale) CrashResult {
 }
 
 // crashAtStage runs the loop up to and including stage kill with
-// per-stage snapshots, abandons the live system (the crash), resumes
+// per-stage snapshots, abandons the live fleet (the crash), resumes
 // from the snapshot directory and finishes the schedule. It returns the
 // resumed run's complete report history.
-func crashAtStage(cfg core.Config, s SystemScale, kill int) ([]core.StageReport, error) {
+func crashAtStage(cfg fleet.Config, s SystemScale, kill int) ([]fleet.RoundReport, error) {
 	dir, err := os.MkdirTemp("", "insitu-crash-")
 	if err != nil {
 		return nil, err
@@ -107,27 +101,32 @@ func crashAtStage(cfg core.Config, s SystemScale, kill int) ([]core.StageReport,
 	}
 
 	// Run until the kill point, snapshotting every stage.
-	c := node.NewCheckpointer(store, core.NewSystem(cfg), 1)
-	if err := c.OnStage(c.System().Bootstrap(s.Bootstrap)); err != nil {
+	f := fleet.New(cfg)
+	defer f.Close()
+	c := fleet.NewCheckpointer(store, f, 1)
+	if err := c.OnRound(f.Bootstrap(s.Bootstrap)); err != nil {
 		return nil, err
 	}
 	for i := 0; i < kill; i++ {
-		if err := c.OnStage(c.System().RunStage(s.Stages[i])); err != nil {
+		if err := c.OnRound(f.RunRound(s.Stages[i])); err != nil {
 			return nil, err
 		}
 	}
-	// The crash: c and its System are dropped on the floor, exactly like
+	// The crash: the live fleet is stopped and dropped on the floor, like
 	// a SIGKILL. Everything below sees only the snapshot directory.
+	f.Close()
 	store2, err := ckpt.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := node.ResumeCheckpointer(store2, cfg, 1)
+	c2, err := fleet.ResumeCheckpointer(store2, cfg, 1)
 	if err != nil {
 		return nil, fmt.Errorf("resume after kill at stage %d: %w", kill, err)
 	}
-	for i := c2.System().Stage() - 1; i < len(s.Stages); i++ {
-		if err := c2.OnStage(c2.System().RunStage(s.Stages[i])); err != nil {
+	f2 := c2.Fleet()
+	defer f2.Close()
+	for i := f2.Round() - 1; i < len(s.Stages); i++ {
+		if err := c2.OnRound(f2.RunRound(s.Stages[i])); err != nil {
 			return nil, err
 		}
 	}

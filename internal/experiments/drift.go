@@ -5,7 +5,9 @@ import (
 	"math"
 
 	"insitu/internal/core"
+	"insitu/internal/fleet"
 	"insitu/internal/metrics"
+	"insitu/internal/netsim"
 )
 
 // DriftResult compares the In-situ AI loop against the statically
@@ -19,21 +21,21 @@ type DriftResult struct {
 	StaticAcc  []float64 // frozen edge model
 }
 
-// AblationDrift bootstraps both systems at low severity, then ramps the
-// severity each stage. The In-situ AI system keeps uploading unrecognized
-// data and updating; the static system just serves.
+// AblationDrift bootstraps both deployments at low severity, then ramps
+// the severity each stage. The In-situ AI node keeps uploading
+// unrecognized data and updating; the static node's links go dark right
+// after its bootstrap transfer, so nothing it captures reaches the Cloud
+// and no update reaches it — it serves the bootstrap model forever.
 func AblationDrift(s SystemScale) DriftResult {
 	severities := []float64{0.3, 0.5, 0.7, 0.9}
-	build := func(frozen bool) *core.System {
-		cfg := core.DefaultConfig(core.SystemInSituAI, s.Seed)
-		cfg.Classes = s.Classes
-		cfg.PermClasses = s.Perms
-		cfg.Severity = severities[0]
-		cfg.FrozenModel = frozen
-		return core.NewSystem(cfg)
-	}
-	adaptive := build(false)
-	static := build(true)
+	cfg := s.config(core.SystemInSituAI)
+	cfg.Severity = severities[0]
+	dark := netsim.FaultConfig{Outages: []netsim.Outage{{Start: 1, End: math.MaxInt64}}}
+	staticCfg := cfg
+	staticCfg.UplinkFaults, staticCfg.DownlinkFaults = dark, dark
+	adaptive, static := fleet.New(cfg), fleet.New(staticCfg)
+	defer adaptive.Close()
+	defer static.Close()
 	adaptive.Bootstrap(s.Bootstrap)
 	static.Bootstrap(s.Bootstrap)
 
@@ -42,11 +44,11 @@ func AblationDrift(s SystemScale) DriftResult {
 	for _, sev := range severities {
 		adaptive.SetSeverity(sev)
 		static.SetSeverity(sev)
-		ra := adaptive.RunStage(stage)
-		rs := static.RunStage(stage)
+		ra := adaptive.RunRound(stage)
+		rs := static.RunRound(stage)
 		r.Severities = append(r.Severities, sev)
-		r.InSituAcc = append(r.InSituAcc, ra.NodeAccuracy)
-		r.StaticAcc = append(r.StaticAcc, rs.NodeAccuracy)
+		r.InSituAcc = append(r.InSituAcc, ra.Nodes[0].NodeAccuracy)
+		r.StaticAcc = append(r.StaticAcc, rs.Nodes[0].NodeAccuracy)
 	}
 	return r
 }

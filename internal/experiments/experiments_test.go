@@ -201,7 +201,7 @@ var (
 	tblOnce sync.Once
 	tblRes  TableIResult
 	sysOnce sync.Once
-	sysCmp  *core.Comparison
+	sysCmp  *Comparison
 )
 
 func tableI(t *testing.T) TableIResult {
@@ -212,7 +212,7 @@ func tableI(t *testing.T) TableIResult {
 	return tblRes
 }
 
-func systems(t *testing.T) *core.Comparison {
+func systems(t *testing.T) *Comparison {
 	if testing.Short() {
 		t.Skip("closed-loop experiment")
 	}

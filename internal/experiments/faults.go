@@ -35,37 +35,31 @@ type FaultsResult struct {
 func AblationFaults(s SystemScale) FaultsResult {
 	var r FaultsResult
 	for _, rate := range []float64{0, 0.2, 0.4, 0.6} {
-		cfg := core.DefaultConfig(core.SystemInSituAI, s.Seed)
-		cfg.Classes = s.Classes
-		cfg.PermClasses = s.Perms
-		cfg.Faults = netsim.FaultConfig{
-			Seed:        s.Seed + 101,
-			CorruptProb: rate / 2,
-			DropProb:    rate / 2,
-		}
-		sys := core.NewSystem(cfg)
-		reports := []core.StageReport{sys.Bootstrap(s.Bootstrap)}
-		for _, n := range s.Stages {
-			reports = append(reports, sys.RunStage(n))
-		}
+		cfg := s.config(core.SystemInSituAI)
+		cfg.DownlinkFaults = netsim.FaultConfig{CorruptProb: rate / 2, DropProb: rate / 2}
+		reports := s.run(cfg)
 		var attempts, failed, stale int
+		var retransmit int64
 		for _, rep := range reports {
-			attempts += rep.DeployAttempts
-			if rep.DeployFailed {
+			nr := rep.Nodes[0]
+			attempts += nr.DeployAttempts
+			if nr.DeployFailed {
 				failed++
 			}
-			if rep.StaleModel {
+			if nr.StaleModel {
 				stale++
 			}
+			retransmit += nr.RetransmitBytes
 		}
+		last := reports[len(reports)-1]
 		r.Rates = append(r.Rates, rate)
-		r.Accuracy = append(r.Accuracy, reports[len(reports)-1].NodeAccuracy)
+		r.Accuracy = append(r.Accuracy, last.Nodes[0].NodeAccuracy)
 		r.Attempts = append(r.Attempts, attempts)
 		r.FailedStages = append(r.FailedStages, failed)
 		r.StaleStages = append(r.StaleStages, stale)
-		r.RetransmitKB = append(r.RetransmitKB, float64(sys.Meter().RetransmitBytes)/1e3)
-		r.NodeVersion = append(r.NodeVersion, sys.ModelVersion())
-		r.CloudVersion = append(r.CloudVersion, sys.CloudVersion())
+		r.RetransmitKB = append(r.RetransmitKB, float64(retransmit)/1e3)
+		r.NodeVersion = append(r.NodeVersion, last.Nodes[0].ModelVersion)
+		r.CloudVersion = append(r.CloudVersion, last.CloudVersion)
 	}
 	return r
 }

@@ -123,7 +123,6 @@ func nodeConfigFromWire(w wire.NodeConfig) Config {
 		Probes:      int(w.Probes),
 		Seed:        w.Seed,
 		InSituFrac:  w.InSituFrac,
-		Severity:    w.Severity,
 		Link: netsim.Uplink{
 			Name:          w.LinkName,
 			BandwidthBps:  w.LinkBandwidthBps,
@@ -290,6 +289,7 @@ func (a *Agent) serve(conn net.Conn, proto uint8) error {
 			if derr != nil {
 				return fmt.Errorf("fleet: decoding capture: %w", derr)
 			}
+			n.SetSeverity(c.Severity)
 			up := n.Capture(int(c.N), c.Bootstrap)
 			u := wire.Upload{
 				Round:                 c.Round,
@@ -325,6 +325,7 @@ func (a *Agent) serve(conn net.Conn, proto uint8) error {
 			if derr != nil {
 				return fmt.Errorf("fleet: decoding bundle: %w", derr)
 			}
+			n.SetSeverity(dp.Severity)
 			d := n.Deploy(bundle)
 			r := wire.DeployResult{
 				Round:       dp.Round,

@@ -23,10 +23,10 @@ import (
 // checkpointing: an abandoned straggler could still be running.
 
 const (
-	// ckptMagic 0004: the server section and every node blob lost the
-	// diagnoser's never-drawn RNG word; the bump makes a 0003 snapshot
-	// fail on its magic instead of mis-decoding.
-	ckptMagic    = "ISFL0004"
+	// ckptMagic 0005: the round state gained the current severity
+	// (SetSeverity); the bump makes a 0004 snapshot fail on its magic
+	// instead of mis-decoding.
+	ckptMagic    = "ISFL0005"
 	historyMagic = "ISFH0001"
 	// telemetryMagic frames the registry snapshot that rides between the
 	// history and the fleet state, so windowed percentile state survives
@@ -44,10 +44,9 @@ var ErrConfigMismatch = core.ErrConfigMismatch
 // Behavior-affecting knobs only: Shards and MaxLiveNodes are
 // deliberately absent, because reports are byte-identical across their
 // settings — a checkpoint taken at shards=1 must resume at shards=16.
-// InSituFrac and Severity are in: the fleet
-// has no way to change either mid-run, and its nodes (remote ones are
-// configured at the handshake, before any Restore) keep the caller's
-// values, so a snapshot from another environment must not load.
+// InSituFrac and the starting Severity are in, so a snapshot from
+// another environment must not load; the severity SetSeverity moved it
+// to is round state, restored with the round.
 func (f *Fleet) fingerprint() []uint64 {
 	return []uint64{
 		uint64(f.Cfg.Kind), uint64(f.Cfg.Classes), uint64(f.Cfg.PermClasses),
@@ -58,15 +57,16 @@ func (f *Fleet) fingerprint() []uint64 {
 	}
 }
 
-// Checkpoint writes the fleet's complete mutable state to w: the round,
-// the server's half (cloud.Server.Save) and every node's state blob.
-// Call only between rounds (never while a round is in flight).
+// Checkpoint writes the fleet's complete mutable state to w: the round
+// and severity, the server's half (cloud.Server.Save) and every node's
+// state blob. Call only between rounds (never while a round is in
+// flight).
 func (f *Fleet) Checkpoint(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(ckptMagic); err != nil {
 		return err
 	}
-	if err := ckpt.WriteU64s(bw, append(f.fingerprint(), uint64(f.round))...); err != nil {
+	if err := ckpt.WriteU64s(bw, append(f.fingerprint(), uint64(f.round), math.Float64bits(f.severity))...); err != nil {
 		return err
 	}
 	if err := f.cloud.Save(bw); err != nil {
@@ -134,7 +134,7 @@ func (f *Fleet) Restore(r io.Reader) error {
 	}
 
 	want := f.fingerprint()
-	got := make([]uint64, len(want)+1)
+	got := make([]uint64, len(want)+2)
 	if err := ckpt.ReadU64s(br, got); err != nil {
 		return err
 	}
@@ -145,6 +145,7 @@ func (f *Fleet) Restore(r io.Reader) error {
 		}
 	}
 	f.round = int(int64(got[len(want)]))
+	f.severity = math.Float64frombits(got[len(want)+1])
 	if err := f.cloud.Load(br); err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
-// Package fleet scales the In-situ AI closed loop from one simulated
-// node to a concurrent deployment: one Cloud server services N in-situ
-// nodes, each running the node half of the loop (capture → diagnose →
-// upload) on its own goroutine with its own dataset shard, seeded lossy
+// Package fleet runs the In-situ AI closed loop — its one driver, for a
+// single deployment (N = 1) and a concurrent one alike: one Cloud server
+// services N in-situ nodes, each running the node half of the loop
+// (capture → diagnose → upload) with its own dataset shard, seeded lossy
 // links and uplink meter. The server collects the round's uploads one
 // response at a time, admits them under a per-round cap (so one chatty or
 // recovering node cannot monopolize the retrain), runs ONE incremental
@@ -42,15 +42,21 @@ type Config struct {
 	// Nodes is the fleet size N.
 	Nodes int
 	Kind  core.SystemKind
-	// Classes/PermClasses/SharedConvs/Probes follow core.Config.
+	// Classes is the object classes in the synthetic world,
+	// PermClasses the jigsaw permutation set's size, SharedConvs the
+	// weight-shared CONV prefix depth (variant d) and Probes the
+	// diagnosis probe count per image.
 	Classes     int
 	PermClasses int
 	SharedConvs int
 	Probes      int
 	Seed        uint64
-	InSituFrac  float64
-	Severity    float64
-	Link        netsim.Uplink
+	// InSituFrac is the fraction of captured data under in-situ
+	// pathologies; Severity their strength at the start of the run
+	// (SetSeverity moves it between rounds).
+	InSituFrac float64
+	Severity   float64
+	Link       netsim.Uplink
 	// FullScaleSpec prices Cloud work at paper scale (default AlexNet).
 	FullScaleSpec models.NetSpec
 	Cost          cloud.CostModel
@@ -135,7 +141,8 @@ type Config struct {
 	Health *health.Tracker
 }
 
-// DefaultConfig is core.DefaultConfig for an N-node fleet.
+// DefaultConfig returns the paper-faithful configuration of an N-node
+// fleet running the given variant.
 func DefaultConfig(kind core.SystemKind, nodes int, seed uint64) Config {
 	return Config{
 		Nodes:         nodes,
@@ -217,6 +224,10 @@ type Fleet struct {
 	// worker phases).
 	cloud *cloud.Server
 	round int
+	// severity is the in-situ condition strength every node renders
+	// under from the next round on: Config.Severity until SetSeverity
+	// moves it. Round state, so checkpoints carry it.
+	severity float64
 
 	peers []peer
 	// results hands every node response (local shard workers and remote
@@ -275,8 +286,9 @@ func newServer(cfg Config) *Fleet {
 			FullScaleSpec: cfg.FullScaleSpec,
 			Cost:          cfg.Cost,
 		}),
-		results: make(chan roundMsg),
-		quit:    make(chan struct{}),
+		severity: cfg.Severity,
+		results:  make(chan roundMsg),
+		quit:     make(chan struct{}),
 	}
 	f.outage = f.outageSet()
 	return f
@@ -377,9 +389,16 @@ func (f *Fleet) Close() {
 }
 
 // Round returns the loop position: 0 before Bootstrap, then 1 plus the
-// number of incremental rounds completed — the fleet analogue of
-// core.System.Stage.
+// number of incremental rounds completed. A resumed fleet reports the
+// position it was checkpointed at, which is how callers know which
+// rounds remain.
 func (f *Fleet) Round() int { return f.round }
+
+// SetSeverity adjusts the in-situ condition severity every node
+// captures and evaluates under from the next round on — environment
+// drift, the "ever-changing in-situ environments" of the paper's
+// motivation. Call only between rounds.
+func (f *Fleet) SetSeverity(severity float64) { f.severity = severity }
 
 // WallSeconds returns the wall-clock time spent inside Bootstrap and
 // RunRound so far. It feeds the scaling experiments and is deliberately
@@ -454,6 +473,7 @@ func (f *Fleet) broadcast(cmd workerCmd, parked map[int]bool) map[int]bool {
 	if f.closed {
 		panic("fleet: round after Close")
 	}
+	cmd.severity = f.severity
 	expected := make(map[int]bool, len(f.peers))
 	for _, p := range f.peers {
 		rp, _ := p.(*remotePeer)

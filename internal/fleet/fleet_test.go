@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -302,6 +304,63 @@ func TestFleetCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// The corrupt-latest path end to end: damage the newest snapshot on
+// disk and resume — the checkpointer must fall back to the previous one
+// and re-run the missing round deterministically.
+func TestCheckpointerTornSnapshotFallback(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(1)
+	rounds := []int{16, 16}
+	baseline := reportJSON(t, run(cfg, 24, rounds))
+
+	dir := t.TempDir()
+	store, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(cfg)
+	c := NewCheckpointer(store, f, 1)
+	if err := c.OnRound(f.Bootstrap(24)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.OnRound(f.RunRound(rounds[0])); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	// Tear the newest snapshot (snap-00000001): resume must fall back to
+	// the bootstrap snapshot and redo round 1.
+	torn := filepath.Join(dir, "snap-00000001.ckpt")
+	raw, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, raw[:len(raw)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := ResumeCheckpointer(store2, cfg, 1)
+	if err != nil {
+		t.Fatalf("ResumeCheckpointer after torn snapshot: %v", err)
+	}
+	f2 := c2.Fleet()
+	defer f2.Close()
+	if got := f2.Round(); got != 1 {
+		t.Fatalf("fell back to round %d, want 1 (bootstrap snapshot)", got)
+	}
+	for _, n := range rounds {
+		if err := c2.OnRound(f2.RunRound(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reportJSON(t, c2.History()); !bytes.Equal(baseline, got) {
+		t.Fatalf("history after torn-snapshot fallback diverged:\n%s\n---\n%s", baseline, got)
+	}
+}
+
 // A snapshot must refuse to resume under a config describing a
 // different experiment.
 func TestFleetResumeConfigMismatch(t *testing.T) {
@@ -320,8 +379,8 @@ func TestFleetResumeConfigMismatch(t *testing.T) {
 		"classes": func(c *Config) { c.Classes = 4 },
 		"seed":    func(c *Config) { c.Seed++ },
 		"cap":     func(c *Config) { c.MaxRoundSamples = 7 },
-		// The environment is part of the identity: nodes keep the
-		// caller's values, so the server must not adopt the snapshot's.
+		// The starting environment is part of the identity: a snapshot
+		// from another environment must not load.
 		"in-situ":  func(c *Config) { c.InSituFrac = 0.3 },
 		"severity": func(c *Config) { c.Severity = 0.2 },
 	} {
@@ -363,9 +422,9 @@ func TestFleetResumeRejectsDamagedStreams(t *testing.T) {
 		t.Error("Resume accepted a pool count far beyond the stream")
 	}
 
-	copy(raw, "ISFL0003")
+	copy(raw, "ISFL0004")
 	if _, err := Resume(cfg, bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
-		t.Errorf("Resume of an ISFL0003 stream: %v, want a bad-magic error", err)
+		t.Errorf("Resume of an ISFL0004 stream: %v, want a bad-magic error", err)
 	}
 }
 

@@ -248,12 +248,10 @@ func (p *remotePeer) adopt(conn net.Conn, proto uint8, h wire.Hello, cfg wire.No
 			)
 			switch cmd.kind {
 			case cmdCapture:
-				c := wire.Capture{Round: uint32(cmd.round), N: uint32(cmd.n), Bootstrap: cmd.bootstrap}
-				req, err = wire.EncodeFrame(proto, wire.MsgCapture, c.Encode())
+				req, err = wire.EncodeFrame(proto, wire.MsgCapture, cmd.capture().Encode())
 				want = wire.MsgUpload
 			case cmdDeploy:
-				d := wire.Deploy{Round: uint32(cmd.round), Bundle: cmd.encoded}
-				req, err = wire.EncodeFrame(proto, wire.MsgDeploy, d.Encode())
+				req, err = wire.EncodeFrame(proto, wire.MsgDeploy, cmd.deploy().Encode())
 				want = wire.MsgDeployResult
 			default:
 				continue

@@ -7,6 +7,7 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/deploy"
 	"insitu/internal/netsim"
+	"insitu/internal/wire"
 )
 
 // The fleet's nodes are core.Node values, one per id. A node's state is
@@ -37,7 +38,6 @@ func nodeConfig(cfg Config, id int, outage bool) core.NodeConfig {
 		Seed:          cfg.Seed,
 		GenSeed:       cfg.Seed + seedOffGen + uint64(id)*131,
 		InSituFrac:    cfg.InSituFrac,
-		Severity:      cfg.Severity,
 		Link:          cfg.Link,
 		Uplink:        nodeFaults(cfg.UplinkFaults, cfg.Seed+seedOffUplink+uint64(id), outage),
 		Downlink:      nodeFaults(cfg.DownlinkFaults, cfg.Seed+seedOffDownlink+uint64(id), outage),
@@ -75,7 +75,11 @@ type workerCmd struct {
 	round     int
 	n         int // capture size
 	bootstrap bool
-	bundle    *deploy.Bundle // read-only, shared across workers
+	// severity is the environment the node captures and evaluates
+	// under this round (Fleet.SetSeverity); every round command carries
+	// it, so a node rebuilt from state mid-round renders the same images.
+	severity float64
+	bundle   *deploy.Bundle // read-only, shared across workers
 	// encoded is the bundle's frame bytes, filled once per round when the
 	// fleet has remote peers (they ship bytes, not pointers).
 	encoded []byte
@@ -87,6 +91,16 @@ type workerCmd struct {
 	// waits for the answer (session saves under a lease); zero waits
 	// as long as the session lives. Local peers ignore it.
 	deadline time.Time
+}
+
+// capture is the wire form of a capture command.
+func (c workerCmd) capture() wire.Capture {
+	return wire.Capture{Round: uint32(c.round), N: uint32(c.n), Bootstrap: c.bootstrap, Severity: c.severity}
+}
+
+// deploy is the wire form of a deploy command.
+func (c workerCmd) deploy() wire.Deploy {
+	return wire.Deploy{Round: uint32(c.round), Severity: c.severity, Bundle: c.encoded}
 }
 
 // stateReply answers cmdStateSave (data) and cmdStateLoad (err).

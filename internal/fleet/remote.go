@@ -66,7 +66,6 @@ func (f *Fleet) nodeConfigToWire(outage bool) wire.NodeConfig {
 		Probes:            uint32(cfg.Probes),
 		Seed:              cfg.Seed,
 		InSituFrac:        cfg.InSituFrac,
-		Severity:          cfg.Severity,
 		LinkName:          cfg.Link.Name,
 		LinkBandwidthBps:  cfg.Link.BandwidthBps,
 		LinkEnergyPerByte: cfg.Link.EnergyPerByte,
@@ -494,12 +493,10 @@ func (p *remotePeer) exchange(cmd workerCmd) {
 	)
 	switch cmd.kind {
 	case cmdCapture:
-		c := wire.Capture{Round: uint32(cmd.round), N: uint32(cmd.n), Bootstrap: cmd.bootstrap}
-		req, err = wire.EncodeFrame(proto, wire.MsgCapture, c.Encode())
+		req, err = wire.EncodeFrame(proto, wire.MsgCapture, cmd.capture().Encode())
 		want, disc = wire.MsgUpload, uint32(cmd.round)
 	case cmdDeploy:
-		d := wire.Deploy{Round: uint32(cmd.round), Bundle: cmd.encoded}
-		req, err = wire.EncodeFrame(proto, wire.MsgDeploy, d.Encode())
+		req, err = wire.EncodeFrame(proto, wire.MsgDeploy, cmd.deploy().Encode())
 		want, disc = wire.MsgDeployResult, uint32(cmd.round)
 	case cmdStateSave:
 		tag := p.nextStateTag()

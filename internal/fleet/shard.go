@@ -114,8 +114,10 @@ func (s *shard) run() {
 			if s.f.stall != nil {
 				s.f.stall(sc.node, cmd.round)
 			}
+			n.SetSeverity(cmd.severity)
 			msg.up = n.Capture(cmd.n, cmd.bootstrap)
 		case cmdDeploy:
+			n.SetSeverity(cmd.severity)
 			msg.dep = n.Deploy(cmd.bundle)
 		case cmdStateSave:
 			data, err := stateBytes(n)

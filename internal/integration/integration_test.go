@@ -16,6 +16,7 @@ import (
 	"insitu/internal/deploy"
 	"insitu/internal/device"
 	"insitu/internal/diagnosis"
+	"insitu/internal/fleet"
 	"insitu/internal/fpgasim"
 	"insitu/internal/gpusim"
 	"insitu/internal/jigsaw"
@@ -23,6 +24,7 @@ import (
 	"insitu/internal/netsim"
 	"insitu/internal/node"
 	"insitu/internal/planner"
+	"insitu/internal/telemetry"
 	"insitu/internal/tensor"
 	"insitu/internal/train"
 	"insitu/internal/transfer"
@@ -158,29 +160,45 @@ func TestCoRunPlannerConsistency(t *testing.T) {
 	}
 }
 
-// One full In-situ AI stage accounted end to end: meter bytes equal the
-// per-report bytes, and the uplink energy follows the link model.
+// One full In-situ AI stage on a one-node fleet accounted end to end:
+// every report's bytes are its images at ImageBytes each, the fleet's
+// per-node upload counters equal the reports' sums, and the reported
+// uplink energy follows the link model.
 func TestUplinkAccountingConsistent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training integration test")
 	}
-	cfg := core.DefaultConfig(core.SystemInSituAI, 77)
+	reg := telemetry.NewRegistry()
+	fleet.EnableTelemetry(reg)
+	defer fleet.EnableTelemetry(nil)
+	cfg := fleet.DefaultConfig(core.SystemInSituAI, 1, 77)
 	cfg.Classes = 4
 	cfg.PermClasses = 6
 	cfg.Link = netsim.LTE()
-	sys := core.NewSystem(cfg)
-	boot := sys.Bootstrap(64)
-	r1 := sys.RunStage(48)
-	m := sys.Meter()
-	if m.Bytes != boot.UploadedBytes+r1.UploadedBytes {
-		t.Fatalf("meter %d != reports %d", m.Bytes, boot.UploadedBytes+r1.UploadedBytes)
+	f := fleet.New(cfg)
+	defer f.Close()
+	var bytes int64
+	var items int64
+	var joules float64
+	for _, rep := range []fleet.RoundReport{f.Bootstrap(64), f.RunRound(48)} {
+		n := rep.Nodes[0]
+		if n.UploadedBytes != int64(n.Uploaded)*dataset.ImageBytes {
+			t.Fatalf("round %d: %d bytes for %d images", rep.Round, n.UploadedBytes, n.Uploaded)
+		}
+		bytes += n.UploadedBytes
+		items += int64(n.Uploaded)
+		joules += n.UplinkJoules
 	}
-	wantJ := cfg.Link.TransferEnergy(m.Bytes)
-	if diff := m.Joules - wantJ; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("meter energy %v != link model %v", m.Joules, wantJ)
+	snap := reg.Snapshot()
+	if got := snap.Counters[telemetry.Label("fleet_node_uploaded_bytes_total", "node", "0")]; got != bytes {
+		t.Fatalf("uploaded-bytes counter %d != reports %d", got, bytes)
 	}
-	if int64(boot.Uploaded+r1.Uploaded) != m.Items {
-		t.Fatalf("meter items %d != reports %d", m.Items, boot.Uploaded+r1.Uploaded)
+	if got := snap.Counters[telemetry.Label("fleet_node_uploaded_images_total", "node", "0")]; got != items {
+		t.Fatalf("uploaded-images counter %d != reports %d", got, items)
+	}
+	wantJ := cfg.Link.TransferEnergy(bytes)
+	if diff := joules - wantJ; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("reported uplink energy %v != link model %v", joules, wantJ)
 	}
 }
 

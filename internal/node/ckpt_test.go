@@ -1,101 +1,114 @@
-package node
+package node_test
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
+	"errors"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"insitu/internal/ckpt"
 	"insitu/internal/core"
+	"insitu/internal/fleet"
 )
 
-func ckptCfg() core.Config {
-	cfg := core.DefaultConfig(core.SystemInSituAI, 11)
+// A single node's loop runs as a one-node fleet; these tests hold its
+// checkpointer to what a standalone node needs across a crash.
+
+func ckptCfg() fleet.Config {
+	cfg := fleet.DefaultConfig(core.SystemInSituAI, 1, 11)
 	cfg.Classes = 3
 	cfg.PermClasses = 4
 	return cfg
+}
+
+func historyJSON(t *testing.T, reps []fleet.RoundReport) []byte {
+	t.Helper()
+	b, err := json.Marshal(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // Full round trip through the on-disk store: run with per-stage
 // snapshots, abandon the process state, resume, finish, and compare
 // against an uninterrupted run.
 func TestCheckpointerResumeMatchesUninterrupted(t *testing.T) {
+	t.Parallel()
 	cfg := ckptCfg()
 	stages := []int{24, 32}
 
-	base := core.NewSystem(cfg)
-	baseline := []core.StageReport{base.Bootstrap(32)}
+	base := fleet.New(cfg)
+	baseline := []fleet.RoundReport{base.Bootstrap(32)}
 	for _, n := range stages {
-		baseline = append(baseline, base.RunStage(n))
+		baseline = append(baseline, base.RunRound(n))
 	}
+	base.Close()
 
 	dir := t.TempDir()
 	store, err := ckpt.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCheckpointer(store, core.NewSystem(cfg), 1)
-	if err := c.OnStage(c.System().Bootstrap(32)); err != nil {
+	f := fleet.New(cfg)
+	c := fleet.NewCheckpointer(store, f, 1)
+	if err := c.OnRound(f.Bootstrap(32)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.OnStage(c.System().RunStage(stages[0])); err != nil {
+	if err := c.OnRound(f.RunRound(stages[0])); err != nil {
 		t.Fatal(err)
 	}
 
 	// The crash: only the directory survives.
+	f.Close()
 	store2, err := ckpt.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := ResumeCheckpointer(store2, cfg, 1)
+	c2, err := fleet.ResumeCheckpointer(store2, cfg, 1)
 	if err != nil {
 		t.Fatalf("ResumeCheckpointer: %v", err)
 	}
-	if got := c2.System().Stage(); got != 2 {
+	f2 := c2.Fleet()
+	defer f2.Close()
+	if got := f2.Round(); got != 2 {
 		t.Fatalf("resumed at stage %d, want 2", got)
 	}
-	for i := c2.System().Stage() - 1; i < len(stages); i++ {
-		if err := c2.OnStage(c2.System().RunStage(stages[i])); err != nil {
+	for i := f2.Round() - 1; i < len(stages); i++ {
+		if err := c2.OnRound(f2.RunRound(stages[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	a, _ := json.Marshal(baseline)
-	b, _ := json.Marshal(c2.History())
-	if string(a) != string(b) {
+	if a, b := historyJSON(t, baseline), historyJSON(t, c2.History()); !bytes.Equal(a, b) {
 		t.Fatalf("resumed history diverged\nbase:    %s\nresumed: %s", a, b)
 	}
 }
 
 // Cadence: Every=2 must snapshot after stages 2, 4, … but not odd ones.
 func TestCheckpointerCadence(t *testing.T) {
-	cfg := ckptCfg()
+	t.Parallel()
 	dir := t.TempDir()
 	store, err := ckpt.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCheckpointer(store, core.NewSystem(cfg), 2)
+	f := fleet.New(ckptCfg())
+	defer f.Close()
+	c := fleet.NewCheckpointer(store, f, 2)
 
 	count := func() int {
-		entries, _ := os.ReadDir(dir)
-		n := 0
-		for _, e := range entries {
-			if filepath.Ext(e.Name()) == ".ckpt" {
-				n++
-			}
-		}
-		return n
+		matches, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+		return len(matches)
 	}
-	if err := c.OnStage(c.System().Bootstrap(32)); err != nil {
+	if err := c.OnRound(f.Bootstrap(32)); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 0 {
 		t.Fatalf("after bootstrap (1 report, cadence 2): %d snapshots, want 0", got)
 	}
-	if err := c.OnStage(c.System().RunStage(24)); err != nil {
+	if err := c.OnRound(f.RunRound(24)); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 1 {
@@ -103,78 +116,23 @@ func TestCheckpointerCadence(t *testing.T) {
 	}
 }
 
-// The corrupt-latest path end to end: damage the newest snapshot on
-// disk and resume — the checkpointer must fall back to the previous one
-// and re-run the missing stage deterministically.
-func TestCheckpointerTornSnapshotFallback(t *testing.T) {
-	cfg := ckptCfg()
-	stages := []int{24, 32}
-
-	base := core.NewSystem(cfg)
-	baseline := []core.StageReport{base.Bootstrap(32)}
-	for _, n := range stages {
-		baseline = append(baseline, base.RunStage(n))
-	}
-
-	dir := t.TempDir()
-	store, err := ckpt.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCheckpointer(store, core.NewSystem(cfg), 1)
-	if err := c.OnStage(c.System().Bootstrap(32)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.OnStage(c.System().RunStage(stages[0])); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the newest snapshot (snap-00000001): resume must fall back to
-	// the bootstrap snapshot and redo stage 1.
-	torn := filepath.Join(dir, "snap-00000001.ckpt")
-	raw, err := os.ReadFile(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(torn, raw[:len(raw)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	store2, err := ckpt.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ResumeCheckpointer(store2, cfg, 1)
-	if err != nil {
-		t.Fatalf("ResumeCheckpointer after torn snapshot: %v", err)
-	}
-	if got := c2.System().Stage(); got != 1 {
-		t.Fatalf("fell back to stage %d, want 1 (bootstrap snapshot)", got)
-	}
-	for i := c2.System().Stage() - 1; i < len(stages); i++ {
-		if err := c2.OnStage(c2.System().RunStage(stages[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(baseline, c2.History()) {
-		t.Fatal("history after torn-snapshot fallback diverged from uninterrupted run")
-	}
-}
-
 // Resuming under a different config must fail loudly.
 func TestResumeCheckpointerRejectsMismatch(t *testing.T) {
+	t.Parallel()
 	cfg := ckptCfg()
-	dir := t.TempDir()
-	store, err := ckpt.Open(dir)
+	store, err := ckpt.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCheckpointer(store, core.NewSystem(cfg), 1)
-	if err := c.OnStage(c.System().Bootstrap(32)); err != nil {
+	f := fleet.New(cfg)
+	defer f.Close()
+	c := fleet.NewCheckpointer(store, f, 1)
+	if err := c.OnRound(f.Bootstrap(32)); err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
 	bad.Seed++
-	if _, err := ResumeCheckpointer(store, bad, 1); err == nil {
-		t.Fatal("ResumeCheckpointer accepted a different seed")
+	if _, err := fleet.ResumeCheckpointer(store, bad, 1); !errors.Is(err, fleet.ErrConfigMismatch) {
+		t.Fatalf("ResumeCheckpointer under a different seed: %v, want ErrConfigMismatch", err)
 	}
 }

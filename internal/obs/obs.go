@@ -1,9 +1,9 @@
 // Package obs wires the telemetry subsystem into the CLIs: one call
 // builds a registry, enables instrumentation in every instrumented
-// package (tensor kernels, nn layers, node runtime, planner, closed
-// loop), opens the JSONL trace sink, and optionally serves
-// pprof/expvar/metrics over HTTP. The three commands (insitu-bench,
-// insitu-node, insitu-train) share the same -telemetry / -trace-out /
+// package (tensor kernels, nn layers, node runtime, planner, fleet),
+// opens the JSONL trace sink, and optionally serves
+// pprof/expvar/metrics over HTTP. The commands (insitu-bench,
+// insitu-fleet, insitu-train) share the same -telemetry / -trace-out /
 // -pprof-addr flags through this package, plus the durability flags
 // (-state-dir / -resume / -ckpt-every) backing crash-safe checkpointing.
 package obs
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"insitu/internal/ckpt"
-	"insitu/internal/core"
 	"insitu/internal/fleet"
 	"insitu/internal/netsim"
 	"insitu/internal/nn"
@@ -45,7 +44,7 @@ type Flags struct {
 	// Resume restarts from the latest good snapshot in StateDir instead
 	// of starting fresh.
 	Resume bool
-	// CkptEvery is the checkpoint cadence (stages for insitu-node,
+	// CkptEvery is the checkpoint cadence (rounds for insitu-fleet,
 	// fine-tune steps for insitu-train).
 	CkptEvery int
 }
@@ -56,7 +55,7 @@ func (f *Flags) AddFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Telemetry, "telemetry", false,
 		"enable counters/histograms and print a Prometheus-style dump to stderr on exit")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
-		"write JSONL trace events (stages, uploads, plans, dispatches) to this file; implies -telemetry")
+		"write JSONL trace events (rounds, uploads, deploys, plans, dispatches) to this file; implies -telemetry")
 	fs.StringVar(&f.PprofAddr, "pprof-addr", "",
 		"serve /metrics, /metrics.json, /debug/vars and /debug/pprof on this address (e.g. :6060); implies -telemetry")
 	fs.Float64Var(&f.FaultRate, "fault-rate", 0,
@@ -68,7 +67,7 @@ func (f *Flags) AddFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Resume, "resume", false,
 		"resume from the latest good snapshot in -state-dir (falls back to a fresh start when empty)")
 	fs.IntVar(&f.CkptEvery, "ckpt-every", 1,
-		"checkpoint cadence: snapshot every N stages (insitu-node) or N fine-tune steps (insitu-train)")
+		"checkpoint cadence: snapshot every N rounds (insitu-fleet) or N fine-tune steps (insitu-train)")
 }
 
 // OpenStore opens the checkpoint store named by -state-dir, or returns
@@ -137,7 +136,6 @@ func Start(f Flags, routes ...telemetry.Route) (*Session, error) {
 	nn.EnableTelemetry(s.Registry)
 	node.EnableTelemetry(s.Registry)
 	planner.EnableTelemetry(s.Registry)
-	core.EnableTelemetry(s.Registry)
 	fleet.EnableTelemetry(s.Registry)
 	ckpt.EnableTelemetry(s.Registry)
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"insitu/internal/core"
 	"insitu/internal/netsim"
 	"insitu/internal/nn"
 	"insitu/internal/node"
@@ -22,7 +21,6 @@ func disableAll() {
 	nn.EnableTelemetry(nil)
 	node.EnableTelemetry(nil)
 	planner.EnableTelemetry(nil)
-	core.EnableTelemetry(nil)
 }
 
 func TestDisabledSessionIsInert(t *testing.T) {

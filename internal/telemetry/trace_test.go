@@ -14,8 +14,8 @@ import (
 func TestTraceJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.Emit("core.stage", Attrs{"stage": 1, "captured": 200})
-	tr.Emit("core.upload", Attrs{"bytes": int64(12345), "images": 17})
+	tr.Emit("fleet.round", Attrs{"round": 1, "captured": 200})
+	tr.Emit("fleet.upload", Attrs{"bytes": int64(12345), "images": 17})
 	sp := tr.StartSpan("node.dispatch")
 	sp.End(Attrs{"frames": 6})
 	tr.Emit("planner.plan", nil)
@@ -36,7 +36,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
-	if recs[0].Event != "core.stage" || recs[0].Attrs["captured"] != float64(200) {
+	if recs[0].Event != "fleet.round" || recs[0].Attrs["captured"] != float64(200) {
 		t.Errorf("record 0 = %+v", recs[0])
 	}
 	if _, ok := recs[2].Attrs["dur_ns"]; !ok {
@@ -55,7 +55,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateTrace: %v", err)
 	}
-	if stats.Records != 4 || stats.ByEvent["core.stage"] != 1 || stats.ByEvent["node.dispatch"] != 1 {
+	if stats.Records != 4 || stats.ByEvent["fleet.round"] != 1 || stats.ByEvent["node.dispatch"] != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 }

@@ -21,10 +21,8 @@ package tensor
 //     B-panel, keeping the mr×nr accumulator block in registers, so each
 //     loaded element is reused mr (resp. nr) times. The kernel is
 //     selected at init by the CPU-feature probe (kernel_dispatch.go):
-//     8×8 AVX2/FMA where available, the baseline 4×8 SSE kernel on any
-//     other amd64, and a pure-Go 4×8 kernel elsewhere that accumulates
-//     in the identical per-element order as the SSE one, so those two
-//     paths produce bit-identical floats.
+//     8×8 AVX2/FMA where available, and a pure-Go 4×8 kernel everywhere
+//     else.
 //
 // Parallel partitioning policy: a GEMM with at least parallelGemmFlops
 // multiply-adds and ≥2 macro-tiles takes the persistent worker pool's

@@ -2,18 +2,9 @@
 
 package tensor
 
-// microKernelSSE is implemented in kernel_amd64.s. It accumulates the
-// full 4×8 product of one packed A panel (kb×4) and one packed B panel
-// (kb×8) into C, using packed single-precision SSE arithmetic — part of
-// the amd64 baseline ISA, so it needs no CPU-feature gate. ldc is in
-// elements.
-//
-//go:noescape
-func microKernelSSE(c *float32, ldc int, ap, bp *float32, kb int)
-
 // microKernelAVX2 is implemented in kernel_avx2_amd64.s: the 8×8 product
 // of one packed A panel (kb×8) and one packed B panel (kb×8) accumulated
-// into C with FMA on YMM registers. Callers must have verified AVX2+FMA
+// into C with FMA on YMM registers; ldc is in elements. Callers must have verified AVX2+FMA
 // support (cpuHasAVX2FMA).
 //
 //go:noescape
@@ -29,10 +20,7 @@ func dotInt8AVX2(a *uint8, b *int8, kPad int) int32
 // kernelTable returns the micro-kernels usable on this machine, ordered
 // baseline-first: the widest (last) entry is selected by default.
 func kernelTable() []kernelImpl {
-	impls := []kernelImpl{
-		{name: "generic", mr: 4, nr: 8, fn: microKernelGo4x8},
-		{name: "sse", mr: 4, nr: 8, fn: microKernelSSE4x8},
-	}
+	impls := []kernelImpl{{name: "generic", mr: 4, nr: 8, fn: microKernelGo4x8}}
 	if cpuHasAVX2FMA {
 		impls = append(impls, kernelImpl{
 			name: "avx2", mr: 8, nr: 8,
@@ -53,20 +41,8 @@ func dotInt8AVX2Row(a []uint8, b []int8) int32 {
 	return dotInt8AVX2(&a[0], &b[0], len(a))
 }
 
-// microKernelSSE4x8 dispatches one 4×8 micro-tile to the SSE kernel. The
-// bounds hints let the asm run without further checks.
-func microKernelSSE4x8(c []float32, ldc int, ap, bp []float32, kb int) {
-	if kb <= 0 {
-		return
-	}
-	_ = ap[kb*4-1]
-	_ = bp[kb*8-1]
-	_ = c[3*ldc+7]
-	microKernelSSE(&c[0], ldc, &ap[0], &bp[0], kb)
-}
-
 // microKernelAVX2x8x8 dispatches one 8×8 micro-tile to the AVX2/FMA
-// kernel.
+// kernel. The bounds hints let the asm run without further checks.
 func microKernelAVX2x8x8(c []float32, ldc int, ap, bp []float32, kb int) {
 	if kb <= 0 {
 		return

@@ -4,7 +4,7 @@
 // eight YMM accumulators Y0–Y7 hold one 8-wide C row each; every k step
 // loads the B row once (VMOVUPS) and issues one VBROADCASTSS + one
 // VFMADD231PS per A row. FMA contracts the multiply-add to a single
-// rounding, so results differ from the SSE/generic kernels in the last
+// rounding, so results differ from the generic kernel in the last
 // ulp — all kernels are verified against the naive reference to
 // tolerance instead of bit equality.
 //

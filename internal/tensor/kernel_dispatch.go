@@ -9,11 +9,11 @@ import (
 // Micro-kernel dispatch. The blocked GEMM is parameterized over one
 // micro-kernel shape (mr×nr) and implementation, selected once at init:
 // the widest kernel the CPU supports wins (AVX2/FMA 8×8 where available,
-// else the 4×8 SSE baseline on amd64, else the pure-Go 4×8 kernel). The
+// else the pure-Go 4×8 kernel). The
 // packers and edge handling read mr/nr as variables, so every kernel
 // shares the same blocking, packing and parallel machinery.
 //
-// The INSITU_KERNEL environment variable ("generic", "sse", "avx2")
+// The INSITU_KERNEL environment variable ("generic", "avx2")
 // overrides the probe — that is what lets CI pin the baseline kernel on
 // AVX2 hosts and what the cross-kernel property tests use.
 
@@ -77,7 +77,7 @@ func useKernel(k kernelImpl) {
 }
 
 // KernelName reports the micro-kernel the GEMM path is currently using
-// ("generic", "sse" or "avx2"). Benchmark headers record it so results
+// ("generic" or "avx2"). Benchmark headers record it so results
 // are self-describing.
 func KernelName() string { return kernelName }
 
@@ -111,7 +111,7 @@ func SelectKernel(name string) error {
 // microKernelGo4x8 is the portable micro-kernel: the 4×8 tile is computed
 // as two 4×4 halves so the partial sums fit the register file on most
 // targets. Every C element accumulates its k-products in ascending p
-// order, exactly like the SSE kernel, so both produce identical floats.
+// order.
 func microKernelGo4x8(c []float32, ldc int, ap, bp []float32, kb int) {
 	if kb <= 0 {
 		return

@@ -92,19 +92,8 @@ func TestCrossKernelEquivalenceMatrix(t *testing.T) {
 		}
 		results[name] = outs
 	}
-	// generic and sse share the accumulation order and must be
-	// bit-identical; every other pair agrees to tolerance (FMA rounds
-	// once per multiply-add).
-	if sse, ok := results["sse"]; ok {
-		for i := range sse {
-			for j, v := range sse[i].Data {
-				if v != results["generic"][i].Data[j] {
-					t.Fatalf("sse and generic differ at shape %v index %d: %v vs %v",
-						shapes[i], j, v, results["generic"][i].Data[j])
-				}
-			}
-		}
-	}
+	// Every kernel agrees with generic to tolerance (FMA rounds once per
+	// multiply-add).
 	for name, outs := range results {
 		for i := range outs {
 			if !closeEnough(outs[i], results["generic"][i], 2e-3) {

@@ -3,9 +3,9 @@
 package tensor
 
 // kernelTable returns the micro-kernels usable on this machine, ordered
-// baseline-first. Off amd64 only the pure-Go 4×8 kernel exists; it
-// accumulates in the same per-element order as the SSE kernel, so
-// results are bit-for-bit identical across architectures.
+// baseline-first. Off amd64 only the pure-Go 4×8 kernel exists — the
+// same kernel amd64 falls back to without AVX2, so results are
+// bit-for-bit identical across architectures.
 func kernelTable() []kernelImpl {
 	return []kernelImpl{{name: "generic", mr: 4, nr: 8, fn: microKernelGo4x8}}
 }

@@ -55,10 +55,13 @@ const (
 // evaluation) — another layout change, so version 2 peers are likewise
 // rejected. Version 4 dropped the diagnoser's RNG word from the node
 // state blob (MsgStateBlob/MsgStateLoad): a version 3 peer would
-// mis-decode a session restore, so it is rejected too.
+// mis-decode a session restore, so it is rejected too. Version 5 moved
+// the condition severity from NodeConfig onto every Capture and Deploy
+// (it drifts during a run) — three layouts changed, so version 4 peers
+// are rejected.
 const (
-	ProtoMin uint8 = 4
-	ProtoMax uint8 = 4
+	ProtoMin uint8 = 5
+	ProtoMax uint8 = 5
 )
 
 // ErrCRC marks a frame whose checksum failed but whose framing fields

@@ -72,7 +72,8 @@ func FuzzFrame(f *testing.F) {
 func FuzzDecodeMessages(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Welcome{Proto: 1, Cfg: NodeConfig{LinkName: "wifi"}}.Encode())
-	f.Add(Capture{Round: 1, N: 8}.Encode())
+	f.Add(Capture{Round: 1, N: 8, Severity: 0.7}.Encode())
+	f.Add(Deploy{Round: 1, Severity: 0.7, Bundle: []byte{1, 2}}.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeHello(data)
 		_, _ = DecodeWelcome(data)

@@ -207,7 +207,6 @@ type NodeConfig struct {
 	Probes      uint32
 	Seed        uint64
 	InSituFrac  float64
-	Severity    float64
 	// Link is the modeled uplink (name + linear byte cost model).
 	LinkName          string
 	LinkBandwidthBps  float64
@@ -234,7 +233,6 @@ func (c NodeConfig) encode(e *enc) {
 	e.u32(c.Probes)
 	e.u64(c.Seed)
 	e.f64(c.InSituFrac)
-	e.f64(c.Severity)
 	e.str(c.LinkName)
 	e.f64(c.LinkBandwidthBps)
 	e.f64(c.LinkEnergyPerByte)
@@ -255,7 +253,6 @@ func decodeNodeConfig(d *dec) NodeConfig {
 		Probes:            d.u32(),
 		Seed:              d.u64(),
 		InSituFrac:        d.f64(),
-		Severity:          d.f64(),
 		LinkName:          d.str(),
 		LinkBandwidthBps:  d.f64(),
 		LinkEnergyPerByte: d.f64(),
@@ -299,11 +296,15 @@ func DecodeWelcome(payload []byte) (Welcome, error) {
 	return w, d.done()
 }
 
-// Capture commands one capture/diagnose/upload phase.
+// Capture commands one capture/diagnose/upload phase. Severity is the
+// in-situ condition strength the node renders this round's images under
+// — the environment drifts during a run, so it rides on the command
+// rather than in the handshake.
 type Capture struct {
 	Round     uint32
 	N         uint32
 	Bootstrap bool
+	Severity  float64
 }
 
 // Encode serializes the message payload.
@@ -312,6 +313,7 @@ func (c Capture) Encode() []byte {
 	e.u32(c.Round)
 	e.u32(c.N)
 	e.bool(c.Bootstrap)
+	e.f64(c.Severity)
 	b, _ := e.bytes()
 	return b
 }
@@ -319,7 +321,7 @@ func (c Capture) Encode() []byte {
 // DecodeCapture parses a MsgCapture payload.
 func DecodeCapture(payload []byte) (Capture, error) {
 	d := newDec(payload)
-	c := Capture{Round: d.u32(), N: d.u32(), Bootstrap: d.bool()}
+	c := Capture{Round: d.u32(), N: d.u32(), Bootstrap: d.bool(), Severity: d.f64()}
 	return c, d.done()
 }
 
@@ -417,16 +419,21 @@ func DecodeUpload(payload []byte) (Upload, error) {
 }
 
 // Deploy pushes one model bundle (the deploy package's own CRC-framed
-// encoding rides opaquely inside the wire frame).
+// encoding rides opaquely inside the wire frame). Severity is the
+// condition strength the node grades the delivered model under; it
+// repeats the round's Capture value, because a node that rejoined after
+// the capture was sent gets the deploy alone.
 type Deploy struct {
-	Round  uint32
-	Bundle []byte
+	Round    uint32
+	Severity float64
+	Bundle   []byte
 }
 
 // Encode serializes the message payload.
 func (p Deploy) Encode() []byte {
 	var e enc
 	e.u32(p.Round)
+	e.f64(p.Severity)
 	e.blob(p.Bundle)
 	b, _ := e.bytes()
 	return b
@@ -435,7 +442,7 @@ func (p Deploy) Encode() []byte {
 // DecodeDeploy parses a MsgDeploy payload.
 func DecodeDeploy(payload []byte) (Deploy, error) {
 	d := newDec(payload)
-	p := Deploy{Round: d.u32(), Bundle: d.blob()}
+	p := Deploy{Round: d.u32(), Severity: d.f64(), Bundle: d.blob()}
 	return p, d.done()
 }
 

@@ -171,7 +171,7 @@ func TestWelcomeRoundTrip(t *testing.T) {
 		Epoch: 9,
 		Cfg: NodeConfig{
 			Kind: 2, Classes: 3, PermClasses: 4, SharedConvs: 2, Probes: 5,
-			Seed: 0xDEADBEEF, InSituFrac: 0.25, Severity: 0.6,
+			Seed: 0xDEADBEEF, InSituFrac: 0.25,
 			LinkName: "wifi", LinkBandwidthBps: 2.5e6, LinkEnergyPerByte: 1e-6,
 			DeployRetries: 4,
 			Uplink: FaultSpec{Seed: 11, CorruptProb: 0.2, DropProb: 0.1,
@@ -192,14 +192,14 @@ func TestWelcomeRoundTrip(t *testing.T) {
 
 func TestCaptureDeployRoundTrip(t *testing.T) {
 	t.Parallel()
-	c := Capture{Round: 9, N: 32, Bootstrap: true}
+	c := Capture{Round: 9, N: 32, Bootstrap: true, Severity: 0.6}
 	gc, err := DecodeCapture(c.Encode())
 	if err != nil || gc != c {
 		t.Fatalf("capture: got %+v err %v, want %+v", gc, err, c)
 	}
-	p := Deploy{Round: 9, Bundle: []byte{1, 2, 3, 4, 5}}
+	p := Deploy{Round: 9, Severity: 0.6, Bundle: []byte{1, 2, 3, 4, 5}}
 	gp, err := DecodeDeploy(p.Encode())
-	if err != nil || gp.Round != p.Round || !bytes.Equal(gp.Bundle, p.Bundle) {
+	if err != nil || gp.Round != p.Round || gp.Severity != p.Severity || !bytes.Equal(gp.Bundle, p.Bundle) {
 		t.Fatalf("deploy: got %+v err %v, want %+v", gp, err, p)
 	}
 }
