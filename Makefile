@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-short ingest-stress bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
+.PHONY: check vet build test race race-short ingest-stress bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke train-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
 
 check: vet build race bench-smoke
 
@@ -123,6 +123,17 @@ crash-smoke:
 	diff crash-smoke-base.txt crash-smoke-resumed.txt
 	rm -rf crash-smoke-fleet crash-smoke-base.txt crash-smoke-resumed.txt crash-smoke-state
 
+# Offline-bootstrap proof: insitu-train writes a bundle through the
+# loop's own Cloud bootstrap, -check applies it to fresh nets, and a
+# flag that cannot describe a model is a usage error (exit 2), not a
+# panic. Uses a prebuilt binary so the exit code is the command's own.
+train-smoke:
+	$(GO) build -o train-smoke-bin ./cmd/insitu-train
+	./train-smoke-bin -out train-smoke.isdp -images 64 -classes 4
+	./train-smoke-bin -check train-smoke.isdp -classes 4
+	./train-smoke-bin -images 0; test $$? -eq 2
+	rm -f train-smoke-bin train-smoke.isdp
+
 # Fleet proof: a 4-node concurrent run with one node in permanent
 # blackout and a lossy downlink, traced end to end; the trace must be
 # well-formed and carry the fleet round/upload/deploy events.
@@ -181,5 +192,6 @@ loop-digest:
 
 clean:
 	rm -f trace-smoke.jsonl fleet-smoke.jsonl health-smoke.json health-smoke.jsonl bench-diff-fresh.json bench-fleet-fresh.json
+	rm -f train-smoke-bin train-smoke.isdp
 	rm -rf crash-smoke-fleet crash-smoke-base.txt crash-smoke-resumed.txt crash-smoke-state churn-smoke-work
 	$(GO) clean ./...

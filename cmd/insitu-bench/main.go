@@ -83,6 +83,7 @@ func main() {
 	jsonPath := flag.String("json", "", "also write a BENCH json record (wall time and bytes allocated per experiment) to this path")
 	var obsFlags obs.Flags
 	obsFlags.AddFlags(flag.CommandLine)
+	obsFlags.AddFaultFlags(flag.CommandLine)
 	flag.Parse()
 
 	scale := experiments.Paper

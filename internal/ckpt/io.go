@@ -7,9 +7,9 @@ import (
 )
 
 // Binary serialization helpers shared by every checkpoint writer in the
-// repo (fleet.Fleet, cloud.Server, core.Node, train.Loop). Snapshot formats
-// are little-endian u64 scalars plus length-prefixed opaque sections, so
-// the helpers live here next to the store that persists them.
+// repo (fleet.Fleet, cloud.Server, core.Node). Snapshot formats are
+// little-endian u64 scalars plus length-prefixed opaque sections, so the
+// helpers live here next to the store that persists them.
 
 // BoolU64 encodes a bool as a u64 flag (1/0) for config fingerprints.
 func BoolU64(b bool) uint64 {

@@ -4,26 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"reflect"
 
 	"insitu/internal/ckpt"
 	"insitu/internal/core"
-	"insitu/internal/dataset"
 	"insitu/internal/fleet"
 	"insitu/internal/metrics"
-	"insitu/internal/models"
-	"insitu/internal/nn"
-	"insitu/internal/train"
 )
 
 // CrashResult is the crash-injection ablation: the closed loop is killed
-// at every possible stage boundary (and the training loop at several
-// step boundaries), resumed from its crash-safe snapshot, and the
-// completed run compared against an uninterrupted baseline. Every row
-// must be identical — checkpointing that changes results is worse than
-// no checkpointing.
+// at every possible stage boundary, resumed from its crash-safe
+// snapshot, and the completed run compared against an uninterrupted
+// baseline. Every row must be identical — checkpointing that changes
+// results is worse than no checkpointing.
 type CrashResult struct {
 	// KillStages are the stage indices the loop was killed after
 	// (0 = right after bootstrap).
@@ -35,11 +28,6 @@ type CrashResult struct {
 	Accuracy []float64
 	// BaselineAccuracy is the uninterrupted run's final accuracy.
 	BaselineAccuracy float64
-	// KillSteps / StepIdentical are the training-loop counterpart: the
-	// supervised fine-tune killed after step k, resumed, and its final
-	// weights+loss compared against an uninterrupted loop.
-	KillSteps     []int
-	StepIdentical []bool
 	// Err is the first harness error (I/O, resume failure), nil when the
 	// sweep completed.
 	Err error
@@ -80,8 +68,6 @@ func AblationCrash(s SystemScale) CrashResult {
 		r.Identical = append(r.Identical, bytes.Equal(got, baseJSON))
 		r.Accuracy = append(r.Accuracy, history[len(history)-1].MeanAccuracy)
 	}
-
-	r.KillSteps, r.StepIdentical, r.Err = crashTrainLoop(s)
 	return r
 }
 
@@ -133,70 +119,6 @@ func crashAtStage(cfg fleet.Config, s SystemScale, kill int) ([]fleet.RoundRepor
 	return c2.History(), nil
 }
 
-// crashTrainLoop kills the supervised fine-tune at several step
-// boundaries and checks that the resumed loop's final weights and loss
-// trajectory match an uninterrupted loop bit for bit.
-func crashTrainLoop(s SystemScale) (killSteps []int, identical []bool, err error) {
-	const steps = 24
-	cfg := train.DefaultConfig(steps)
-	cfg.BatchSize = 16
-
-	baseSum, baseRes, err := runLoop(s, cfg, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, kill := range []int{1, steps / 2, steps - 1} {
-		sum, res, err := runLoop(s, cfg, kill)
-		if err != nil {
-			return nil, nil, err
-		}
-		killSteps = append(killSteps, kill)
-		identical = append(identical, sum == baseSum && reflect.DeepEqual(res, baseRes))
-	}
-	return killSteps, identical, nil
-}
-
-// runLoop trains a fresh model over the scale's bootstrap set. kill >= 0
-// saves at step kill, abandons the loop, and resumes a new one from the
-// saved bytes before finishing. It returns a CRC of the final weights
-// plus the run summary.
-func runLoop(s SystemScale, cfg train.Config, kill int) (uint32, train.Result, error) {
-	net, samples := loopWorld(s)
-	l := train.NewLoop(net, samples, cfg, 4)
-	var saved bytes.Buffer
-	for l.Step() {
-		if l.StepIndex() == kill {
-			if err := l.Save(&saved); err != nil {
-				return 0, train.Result{}, err
-			}
-			break
-		}
-	}
-	if kill >= 0 {
-		// The crash: rebuild everything from scratch and load the state.
-		net2, samples2 := loopWorld(s)
-		l = train.NewLoop(net2, samples2, cfg, 4)
-		if err := l.Load(&saved); err != nil {
-			return 0, train.Result{}, err
-		}
-		for l.Step() {
-		}
-	}
-	var w bytes.Buffer
-	if err := l.Net.SaveWeights(&w); err != nil {
-		return 0, train.Result{}, err
-	}
-	return crc32.ChecksumIEEE(w.Bytes()), l.Result(), nil
-}
-
-// loopWorld deterministically regenerates the training-loop fixture: a
-// fresh TinyAlex and the same sample set, exactly as a restarted
-// process would.
-func loopWorld(s SystemScale) (*nn.Network, []dataset.Sample) {
-	world := dataset.NewGenerator(s.Classes, s.Seed+9)
-	return models.TinyAlex(s.Classes, s.Seed+10), world.MixedSet(s.Bootstrap, 0.5, 0.6)
-}
-
 // Table renders the result.
 func (r CrashResult) Table() *metrics.Table {
 	t := metrics.NewTable("Ablation — crash injection and deterministic resume (variant d)",
@@ -207,9 +129,6 @@ func (r CrashResult) Table() *metrics.Table {
 			name = "after bootstrap"
 		}
 		t.AddRow(name, verdict(r.Identical[i]), fmt.Sprintf("%.3f (baseline %.3f)", r.Accuracy[i], r.BaselineAccuracy))
-	}
-	for i, k := range r.KillSteps {
-		t.AddRow(fmt.Sprintf("fine-tune step %d", k), verdict(r.StepIdentical[i]), "-")
 	}
 	if r.Err != nil {
 		t.AddRow(fmt.Sprintf("harness error: %v", r.Err))

@@ -55,7 +55,15 @@ type Options struct {
 	DriftDrop       float64
 	AdmitP99SLO     float64
 	HealthOut       string
-	Obs             obs.Flags
+	// StateDir is the crash-safe checkpoint directory; empty disables
+	// checkpointing.
+	StateDir string
+	// Resume restarts from the latest good snapshot in StateDir instead
+	// of starting fresh.
+	Resume bool
+	// CkptEvery is the checkpoint cadence in rounds.
+	CkptEvery int
+	Obs       obs.Flags
 }
 
 // AddFlags registers the fleet flags on fs.
@@ -108,7 +116,25 @@ func (o *Options) AddFlags(fs *flag.FlagSet) {
 		"degrade a node whose windowed p99 admission latency exceeds this many seconds (0 disables)")
 	fs.StringVar(&o.HealthOut, "health-out", "",
 		"write the final fleet health status (the /fleetz document) to this JSON file")
+	fs.StringVar(&o.StateDir, "state-dir", "",
+		"write crash-safe checkpoints to this directory (temp+fsync+rename, CRC-framed)")
+	fs.BoolVar(&o.Resume, "resume", false,
+		"resume from the latest good snapshot in -state-dir (falls back to a fresh start when empty)")
+	fs.IntVar(&o.CkptEvery, "ckpt-every", 1, "checkpoint cadence: snapshot every N rounds")
 	o.Obs.AddFlags(fs)
+	o.Obs.AddFaultFlags(fs)
+}
+
+// openStore opens the checkpoint store named by -state-dir, or returns
+// nil when checkpointing is disabled.
+func (o *Options) openStore() (*ckpt.Store, error) {
+	if o.StateDir == "" {
+		if o.Resume {
+			return nil, errors.New("-resume requires -state-dir")
+		}
+		return nil, nil
+	}
+	return ckpt.Open(o.StateDir)
 }
 
 // ParseInts parses a comma-separated list of non-negative ints,
@@ -226,7 +252,7 @@ func (o *Options) Run() int {
 	cfg.Trace = session.Tracer
 	cfg.Health = tracker
 
-	store, err := o.Obs.OpenStore()
+	store, err := o.openStore()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, name+":", err)
 		return 1
@@ -267,8 +293,8 @@ func (o *Options) Run() int {
 	// report history byte-matches an uninterrupted one's — whichever
 	// transport took the snapshot and whichever finishes it.
 	var ckp *fleet.Checkpointer
-	if o.Obs.Resume && store != nil {
-		c, rerr := fleet.ResumeCheckpointerWith(store, fl, o.Obs.CkptEvery)
+	if o.Resume && store != nil {
+		c, rerr := fleet.ResumeCheckpointerWith(store, fl, o.CkptEvery)
 		switch {
 		case rerr == nil:
 			ckp = c
@@ -281,7 +307,7 @@ func (o *Options) Run() int {
 		}
 	}
 	if ckp == nil && store != nil {
-		ckp = fleet.NewCheckpointer(store, fl, o.Obs.CkptEvery)
+		ckp = fleet.NewCheckpointer(store, fl, o.CkptEvery)
 	}
 	if ckp != nil && session.Registry != nil {
 		// Snapshots carry the registry (histogram buckets included) so

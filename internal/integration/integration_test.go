@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"insitu/internal/cloud"
 	"insitu/internal/core"
 	"insitu/internal/dataset"
 	"insitu/internal/deploy"
@@ -25,46 +26,40 @@ import (
 	"insitu/internal/node"
 	"insitu/internal/planner"
 	"insitu/internal/telemetry"
-	"insitu/internal/tensor"
-	"insitu/internal/train"
-	"insitu/internal/transfer"
 )
 
-// Cloud-trains a model pair, ships it through a bundle FILE, and checks
-// the deployed node model classifies exactly like the Cloud original.
+// Cloud-trains a model pair through the loop's own bootstrap
+// (cloud.Server.Bootstrap + Pack, the path insitu-train takes), ships it
+// through a bundle FILE, and checks the deployed node model classifies
+// exactly like the Cloud original.
 func TestTrainShipDeployViaDisk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training integration test")
 	}
-	const classes, perms = 4, 6
-	world := dataset.NewGenerator(classes, 101)
-	permSet := jigsaw.NewPermSet(perms, 102)
-	jigNet := jigsaw.NewNet(perms, 103)
-	trainer := jigsaw.NewTrainer(jigNet, permSet, 0.01, 104)
-	pool := world.MixedSet(96, 0.5, 0.6)
-	imgs := make([]*tensor.Tensor, len(pool))
-	for i := range pool {
-		imgs[i] = pool[i].Image
-	}
-	for step := 0; step < 60; step++ {
-		i0 := (step * 16) % len(imgs)
-		end := i0 + 16
-		if end > len(imgs) {
-			end = len(imgs)
-		}
-		trainer.Step(imgs[i0:end])
-	}
-	inference := models.TinyAlex(classes, 105)
-	if _, err := transfer.FromUnsupervised(inference, jigNet, 3); err != nil {
-		t.Fatal(err)
-	}
-	train.Run(inference, pool, train.DefaultConfig(60), 0)
-
-	// Ship via disk.
-	bundle, err := deploy.Pack(3, inference, jigNet, 0.37)
+	const classes, perms, seed = 4, 6, 101
+	world := dataset.NewGenerator(classes, seed)
+	server := cloud.NewServer(cloud.Config{
+		Classes:       classes,
+		PermClasses:   perms,
+		SharedConvs:   3,
+		Probes:        3,
+		Seed:          seed,
+		FullScaleSpec: models.AlexNet(),
+		Cost:          cloud.NewCostModel(),
+	})
+	server.Bootstrap(world.MixedSet(96, 0.5, 0.6))
+	bundle, err := server.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The Cloud original: the packed weights on the server's own
+	// architecture, before anything touches the disk.
+	cloudInf, cloudJig := cloud.NewModels(classes, perms, seed)
+	if err := bundle.ApplyAtomic(0, cloudInf, cloudJig, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Ship via disk.
 	path := filepath.Join(t.TempDir(), "model.isdp")
 	f, err := os.Create(path)
 	if err != nil {
@@ -77,7 +72,7 @@ func TestTrainShipDeployViaDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Node side: load and apply.
+	// Node side: load and apply onto nets built from other seeds.
 	rf, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +84,21 @@ func TestTrainShipDeployViaDisk(t *testing.T) {
 	}
 	nodeInf := models.TinyAlex(classes, 999)
 	nodeJig := jigsaw.NewNet(perms, 998)
-	d := diagnosis.NewJigsawDiagnoser(nodeJig, permSet, 3, 997)
+	d := diagnosis.NewJigsawDiagnoser(nodeJig, cloud.NewPermSet(perms, seed), 3, 997)
 	if err := received.ApplyAtomic(0, nodeInf, nodeJig, d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Threshold() != 0.37 {
-		t.Fatalf("threshold %v", d.Threshold())
+	if received.Version != 1 {
+		t.Fatalf("version %d, want 1", received.Version)
+	}
+	if th := d.Threshold(); th != bundle.Threshold || th <= 0 || th >= 1 {
+		t.Fatalf("threshold %v, want the calibrated %v in (0,1)", th, bundle.Threshold)
 	}
 
 	// Identical predictions on fresh captures.
 	test := world.MixedSet(80, 0.5, 0.6)
 	x, _ := dataset.Batch(test)
-	cloudPred := inference.Predict(x)
+	cloudPred := cloudInf.Predict(x)
 	nodePred := nodeInf.Predict(x)
 	for i := range cloudPred {
 		if cloudPred[i] != nodePred[i] {

@@ -48,6 +48,3 @@ func (s *SGD) Step(params []*Param) {
 		p.ZeroGrad()
 	}
 }
-
-// Reset discards accumulated momentum (useful when fine-tuning restarts).
-func (s *SGD) Reset() { s.velocity = make(map[*Param]*tensor.Tensor) }

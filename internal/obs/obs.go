@@ -4,8 +4,9 @@
 // opens the JSONL trace sink, and optionally serves
 // pprof/expvar/metrics over HTTP. The commands (insitu-bench,
 // insitu-fleet, insitu-train) share the same -telemetry / -trace-out /
-// -pprof-addr flags through this package, plus the durability flags
-// (-state-dir / -resume / -ckpt-every) backing crash-safe checkpointing.
+// -pprof-addr flags through this package; the closed-loop commands
+// (insitu-bench, insitu-fleet) also share the downlink fault flags
+// (-fault-rate / -outage).
 package obs
 
 import (
@@ -27,7 +28,7 @@ import (
 )
 
 // Flags holds the shared observability and fault-injection flag values;
-// register them with AddFlags before flag.Parse.
+// register them with AddFlags (and AddFaultFlags) before flag.Parse.
 type Flags struct {
 	Telemetry bool
 	TraceOut  string
@@ -38,19 +39,9 @@ type Flags struct {
 	// Outage is a "START:END" transfer-sequence window during which every
 	// downlink delivery is lost.
 	Outage string
-	// StateDir is the crash-safe checkpoint directory; empty disables
-	// checkpointing.
-	StateDir string
-	// Resume restarts from the latest good snapshot in StateDir instead
-	// of starting fresh.
-	Resume bool
-	// CkptEvery is the checkpoint cadence (rounds for insitu-fleet,
-	// fine-tune steps for insitu-train).
-	CkptEvery int
 }
 
-// AddFlags registers -telemetry, -trace-out, -pprof-addr, -fault-rate
-// and -outage on fs.
+// AddFlags registers -telemetry, -trace-out and -pprof-addr on fs.
 func (f *Flags) AddFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Telemetry, "telemetry", false,
 		"enable counters/histograms and print a Prometheus-style dump to stderr on exit")
@@ -58,28 +49,15 @@ func (f *Flags) AddFlags(fs *flag.FlagSet) {
 		"write JSONL trace events (rounds, uploads, deploys, plans, dispatches) to this file; implies -telemetry")
 	fs.StringVar(&f.PprofAddr, "pprof-addr", "",
 		"serve /metrics, /metrics.json, /debug/vars and /debug/pprof on this address (e.g. :6060); implies -telemetry")
+}
+
+// AddFaultFlags registers -fault-rate and -outage on fs, for commands
+// that run the closed loop and so have a downlink to fault.
+func (f *Flags) AddFaultFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&f.FaultRate, "fault-rate", 0,
 		"inject per-transfer faults on the Cloud→node downlink with this probability in [0,1] (half corruption, half drops)")
 	fs.StringVar(&f.Outage, "outage", "",
 		"drop every downlink delivery in this START:END transfer-sequence window (e.g. 2:5)")
-	fs.StringVar(&f.StateDir, "state-dir", "",
-		"write crash-safe checkpoints to this directory (temp+fsync+rename, CRC-framed)")
-	fs.BoolVar(&f.Resume, "resume", false,
-		"resume from the latest good snapshot in -state-dir (falls back to a fresh start when empty)")
-	fs.IntVar(&f.CkptEvery, "ckpt-every", 1,
-		"checkpoint cadence: snapshot every N rounds (insitu-fleet) or N fine-tune steps (insitu-train)")
-}
-
-// OpenStore opens the checkpoint store named by -state-dir, or returns
-// nil when checkpointing is disabled.
-func (f Flags) OpenStore() (*ckpt.Store, error) {
-	if f.StateDir == "" {
-		if f.Resume {
-			return nil, fmt.Errorf("obs: -resume requires -state-dir")
-		}
-		return nil, nil
-	}
-	return ckpt.Open(f.StateDir)
 }
 
 // Faults converts the fault-injection flags into a netsim.FaultConfig

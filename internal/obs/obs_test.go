@@ -97,12 +97,16 @@ func TestAddFlagsRegistersAll(t *testing.T) {
 	if !f.Enabled() {
 		t.Fatal("Enabled() = false")
 	}
+	// The fault flags are registered apart, by the closed-loop commands.
+	if fs.Lookup("fault-rate") != nil || fs.Lookup("outage") != nil {
+		t.Fatal("AddFlags registered the fault flags")
+	}
 }
 
 func TestFaultFlagsParse(t *testing.T) {
 	var f Flags
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f.AddFlags(fs)
+	f.AddFaultFlags(fs)
 	if err := fs.Parse([]string{"-fault-rate", "0.4", "-outage", "2:5"}); err != nil {
 		t.Fatal(err)
 	}

@@ -35,13 +35,37 @@ type Result struct {
 }
 
 // Run trains net on samples with minibatch cycling and returns the loss
-// trajectory. record > 0 stores the loss every record steps. It is the
-// one-shot form of Loop: Run(…) ≡ stepping a NewLoop to completion.
+// trajectory. record > 0 stores the loss every record steps. Step s
+// trains on the BatchSize samples starting at s·BatchSize mod
+// len(samples), wrapping around the end of the set.
 func Run(net *nn.Network, samples []dataset.Sample, cfg Config, record int) Result {
-	l := NewLoop(net, samples, cfg, record)
-	for l.Step() {
+	if cfg.BatchSize <= 0 {
+		cfg.BatchSize = 32
 	}
-	return l.Result()
+	if cfg.BatchSize > len(samples) {
+		cfg.BatchSize = len(samples)
+	}
+	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	res := Result{Steps: cfg.Steps}
+	n := len(samples)
+	for s := 0; s < cfg.Steps; s++ {
+		i0 := (s * cfg.BatchSize) % n
+		i1 := i0 + cfg.BatchSize
+		var batch []dataset.Sample
+		if i1 <= n {
+			batch = samples[i0:i1]
+		} else {
+			batch = append(append([]dataset.Sample(nil), samples[i0:]...), samples[:i1-n]...)
+		}
+		x, labels := dataset.Batch(batch)
+		loss, _ := net.TrainStep(x, labels)
+		opt.Step(net.Params())
+		res.FinalLoss = loss
+		if record > 0 && s%record == 0 {
+			res.LossCurve = append(res.LossCurve, loss)
+		}
+	}
+	return res
 }
 
 // Evaluate computes accuracy of net over samples in chunks (bounding peak
