@@ -8,8 +8,9 @@ import (
 
 // Conv2D is a 2-D convolution layer over batched [B, C, H, W] tensors,
 // implemented as im2col + matrix multiplication exactly as the paper's
-// Fig. 8 describes for the GPU path (Fm × Dm). Training work is
-// parallelized across the batch dimension; inference batches images into
+// Fig. 8 describes for the GPU path (Fm × Dm). Training forwards and
+// input gradients are parallelized across the batch dimension, weight
+// gradients are summed in sample order; inference batches images into
 // one GEMM per panel (forwardEval).
 type Conv2D struct {
 	name string
@@ -24,17 +25,13 @@ type Conv2D struct {
 	lastBat int
 
 	// ws pools the per-chunk backward dcols scratch so steady-state
-	// passes reuse the same storage; grads holds the per-chunk gradient
-	// accumulators, allocated once and reused every step.
-	ws    tensor.Workspace
-	grads []chunkGrad
-	dx    *tensor.Tensor
-}
-
-// chunkGrad is one parallel chunk's private gradient accumulator pair.
-type chunkGrad struct {
-	dW *tensor.Tensor
-	dB *tensor.Tensor
+	// passes reuse the same storage. gW and gB are the one weight- and
+	// bias-gradient accumulator pair, summed in sample order and reused
+	// every step; dys holds a backward's per-sample views of dy.
+	ws     tensor.Workspace
+	gW, gB *tensor.Tensor
+	dys    []*tensor.Tensor
+	dx     *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He-initialized weights.
@@ -184,6 +181,13 @@ func (l *Conv2D) forwardEval(x, out, fm *tensor.Tensor) {
 }
 
 // Backward implements Layer. dy is [B, M, R, C]; returns [B, N, H, W].
+//
+// The weight and bias gradients are summed into one accumulator in
+// sample order, outside any parallel section; a per-sample GEMM may
+// still split into tiles, but those own disjoint outputs and run its k
+// slices in order. Only the per-sample input gradients, which share no
+// state, are spread over the worker pool. So every gradient is
+// bit-identical at any GOMAXPROCS.
 func (l *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	g := l.Geom
 	batch := l.lastBat
@@ -201,58 +205,48 @@ func (l *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := l.dx
 	fm := l.W.Value.Reshape(g.OutChannels, g.ColRows())
 
-	// Per-chunk gradient accumulators avoid contention on the shared
-	// parameter gradients; they are reduced after the parallel section.
-	// The accumulator tensors persist on the layer across steps.
-	if cap(l.grads) < batch {
-		l.grads = make([]chunkGrad, batch) // at most one per chunk; indexed by chunk
+	if cap(l.dys) < batch {
+		l.dys = make([]*tensor.Tensor, batch)
 	}
-	grads := l.grads[:batch]
-	used := tensor.ParallelChunks(batch, func(chunk, b0, b1 int) {
-		var gw, gb *tensor.Tensor
-		if !l.W.Frozen {
-			if grads[chunk].dW == nil {
-				grads[chunk] = chunkGrad{
-					dW: tensor.New(g.OutChannels, g.ColRows()),
-					dB: tensor.New(g.OutChannels),
-				}
-			}
-			gw, gb = grads[chunk].dW, grads[chunk].dB
-			gw.Zero()
-			gb.Zero()
+	dys := l.dys[:batch]
+	defer clear(dys) // do not keep dy alive until the next step
+	for b := range dys {
+		dys[b] = tensor.FromSlice(dy.Data[b*perOut:(b+1)*perOut], g.OutChannels, outH*outW)
+	}
+
+	if !l.W.Frozen {
+		if l.gW == nil {
+			l.gW = tensor.New(g.OutChannels, g.ColRows())
+			l.gB = tensor.New(g.OutChannels)
 		}
+		gw, gb := l.gW, l.gB
+		gw.Zero()
+		gb.Zero()
+		for b, dyb := range dys {
+			// dW += dy · colsᵀ   ([M,RC] × [RC,NK²]), accumulated
+			// in place — no per-sample gradient tensor.
+			tensor.MatMulTransBInto(gw, dyb, l.cols[b], true)
+			for m := 0; m < g.OutChannels; m++ {
+				var s float64
+				for _, v := range dyb.Data[m*outH*outW : (m+1)*outH*outW] {
+					s += float64(v)
+				}
+				gb.Data[m] += float32(s)
+			}
+		}
+		l.W.Grad.Reshape(g.OutChannels, g.ColRows()).Add(gw)
+		l.B.Grad.Add(gb)
+	}
+
+	tensor.ParallelChunks(batch, func(_, b0, b1 int) {
 		dcols := l.ws.Get(g.ColRows(), g.ColCols())
 		defer l.ws.Put(dcols)
 		for b := b0; b < b1; b++ {
-			dyb := tensor.FromSlice(dy.Data[b*perOut:(b+1)*perOut], g.OutChannels, outH*outW)
-			if !l.W.Frozen {
-				// dW += dy · colsᵀ   ([M,RC] × [RC,NK²]), accumulated
-				// in place — no per-sample gradient tensor.
-				tensor.MatMulTransBInto(gw, dyb, l.cols[b], true)
-				for m := 0; m < g.OutChannels; m++ {
-					var s float64
-					row := dyb.Data[m*outH*outW : (m+1)*outH*outW]
-					for _, v := range row {
-						s += float64(v)
-					}
-					gb.Data[m] += float32(s)
-				}
-			}
 			// dcols = Wᵀ · dy   ([NK²,M] × [M,RC])
-			tensor.MatMulTransAInto(dcols, fm, dyb, false)
+			tensor.MatMulTransAInto(dcols, fm, dys[b], false)
 			dxb := tensor.FromSlice(dx.Data[b*perImage:(b+1)*perImage], g.InChannels, g.InHeight, g.InWidth)
 			tensor.Col2Im(dcols, g, dxb)
 		}
 	})
-	if !l.W.Frozen {
-		dW := l.W.Grad.Reshape(g.OutChannels, g.ColRows())
-		for c := 0; c < used; c++ {
-			if grads[c].dW == nil {
-				continue
-			}
-			dW.Add(grads[c].dW)
-			l.B.Grad.Add(grads[c].dB)
-		}
-	}
 	return dx
 }

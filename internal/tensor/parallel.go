@@ -125,12 +125,16 @@ func gemmComputeTile(j *parJob, tile int) { gemmTile(&j.g, tile) }
 // each, using the persistent worker pool. work receives the chunk index
 // and its [i0, i1) range; chunk indices are dense in [0, chunks). It
 // returns the number of chunks used, which is 1 when n is small or the
-// machine is single-core.
+// pool has no workers (GOMAXPROCS=1).
 //
-// The partition depends only on n and the pool's size, never on whether
-// the pool is free: a section that finds it busy runs the same chunks
-// one after another on the caller. A caller that reduces per-chunk
-// partials in chunk order therefore gets the same floats either way.
+// The partition depends on n and on the pool's size, which follows
+// GOMAXPROCS; it never depends on whether the pool is free: a section
+// that finds it busy runs the same chunks one after another on the
+// caller. So a caller whose chunks share no state gets the same result
+// at any GOMAXPROCS, but one that sums floats across chunks gets a
+// different summation order, and different bits, on a different pool
+// size. A result that must be worker-count invariant is reduced outside
+// the section, in a fixed order.
 func ParallelChunks(n int, work func(chunk, i0, i1 int)) int {
 	return parallelChunksOn(getPool(), n, work)
 }
