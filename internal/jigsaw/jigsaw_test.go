@@ -226,3 +226,28 @@ func TestJigsawLearnsAboveChance(t *testing.T) {
 		t.Fatalf("jigsaw accuracy %v, want well above chance %v", acc, 1.0/perms)
 	}
 }
+
+// One jigsaw training step on 16 images, with the trunk trainable and
+// frozen (as the Cloud's incremental rounds run it). With the trunk
+// frozen, backward stops at the head: the 3 convs × 9 tiles × 16 images
+// do no backward work.
+func BenchmarkTrainerStep(b *testing.B) {
+	var images []*tensor.Tensor
+	for _, s := range dataset.NewGenerator(4, 11).MixedSet(16, 0.5, 0.6) {
+		images = append(images, s.Image)
+	}
+	for _, trunk := range []string{"trainable", "frozen"} {
+		b.Run("trunk="+trunk, func(b *testing.B) {
+			net := NewNet(16, 12)
+			if trunk == "frozen" {
+				net.FreezeLayers("conv1", "conv2", "conv3")
+			}
+			tr := NewTrainer(net, NewPermSet(16, 13), 0.01, 14)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Step(images)
+			}
+		})
+	}
+}

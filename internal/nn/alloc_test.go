@@ -27,6 +27,22 @@ func TestDenseBackwardZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// ReLU masks the gradient in place: a steady-state Backward allocates
+// nothing and keeps no buffer.
+func TestReLUBackwardZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates on otherwise allocation-free paths")
+	}
+	rng := tensor.NewRNG(23)
+	x := tensor.New(8, 4, 12, 12)
+	x.FillNormal(rng, 0, 1)
+	l := NewReLU("relu")
+	dy := l.Forward(x, true)
+	if allocs := testing.AllocsPerRun(50, func() { l.Backward(dy) }); allocs != 0 {
+		t.Errorf("ReLU.Backward allocates %.1f objects per step, want 0", allocs)
+	}
+}
+
 // Turning telemetry on must not cost the kernels their zero-allocation
 // steady state: the counters are pre-allocated atomics and the per-layer
 // histogram lookup is a read-locked map probe.

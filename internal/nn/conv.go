@@ -189,56 +189,83 @@ func (l *Conv2D) forwardEval(x, out, fm *tensor.Tensor) {
 // state, are spread over the worker pool. So every gradient is
 // bit-identical at any GOMAXPROCS.
 func (l *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	dys := l.sampleGrads(dy)
+	defer clear(dys) // do not keep dy alive until the next step
+	l.paramGrads(dys)
+	return l.inputGrad(dys)
+}
+
+// backwardParams is Backward without the input gradient: the stop layer
+// of Network.TrainStep.
+func (l *Conv2D) backwardParams(dy *tensor.Tensor) {
+	dys := l.sampleGrads(dy)
+	defer clear(dys)
+	l.paramGrads(dys)
+}
+
+// sampleGrads returns the per-sample [M, R·C] views of dy, held in l.dys
+// until the caller clears them.
+func (l *Conv2D) sampleGrads(dy *tensor.Tensor) []*tensor.Tensor {
 	g := l.Geom
 	batch := l.lastBat
 	if len(l.cols) != batch {
 		panic("nn: conv backward before forward(train=true)")
 	}
-	outH, outW := g.OutHeight(), g.OutWidth()
-	perOut := g.OutChannels * outH * outW
-	perImage := g.InChannels * g.InHeight * g.InWidth
-	// The input-gradient buffer is reused across steps; only the batch
-	// dimension can change between calls (geometry is fixed per layer).
-	if l.dx == nil || l.dx.Dim(0) != batch {
-		l.dx = tensor.New(l.inShape...)
-	}
-	dx := l.dx
-	fm := l.W.Value.Reshape(g.OutChannels, g.ColRows())
-
+	rc := g.OutHeight() * g.OutWidth()
+	perOut := g.OutChannels * rc
 	if cap(l.dys) < batch {
 		l.dys = make([]*tensor.Tensor, batch)
 	}
 	dys := l.dys[:batch]
-	defer clear(dys) // do not keep dy alive until the next step
 	for b := range dys {
-		dys[b] = tensor.FromSlice(dy.Data[b*perOut:(b+1)*perOut], g.OutChannels, outH*outW)
+		dys[b] = tensor.FromSlice(dy.Data[b*perOut:(b+1)*perOut], g.OutChannels, rc)
 	}
+	return dys
+}
 
-	if !l.W.Frozen {
-		if l.gW == nil {
-			l.gW = tensor.New(g.OutChannels, g.ColRows())
-			l.gB = tensor.New(g.OutChannels)
-		}
-		gw, gb := l.gW, l.gB
-		gw.Zero()
-		gb.Zero()
-		for b, dyb := range dys {
-			// dW += dy · colsᵀ   ([M,RC] × [RC,NK²]), accumulated
-			// in place — no per-sample gradient tensor.
-			tensor.MatMulTransBInto(gw, dyb, l.cols[b], true)
-			for m := 0; m < g.OutChannels; m++ {
-				var s float64
-				for _, v := range dyb.Data[m*outH*outW : (m+1)*outH*outW] {
-					s += float64(v)
-				}
-				gb.Data[m] += float32(s)
+// paramGrads adds the batch's weight and bias gradients to W.Grad and
+// B.Grad, unless W is frozen.
+func (l *Conv2D) paramGrads(dys []*tensor.Tensor) {
+	if l.W.Frozen {
+		return
+	}
+	g := l.Geom
+	rc := g.OutHeight() * g.OutWidth()
+	if l.gW == nil {
+		l.gW = tensor.New(g.OutChannels, g.ColRows())
+		l.gB = tensor.New(g.OutChannels)
+	}
+	gw, gb := l.gW, l.gB
+	gw.Zero()
+	gb.Zero()
+	for b, dyb := range dys {
+		// dW += dy · colsᵀ   ([M,RC] × [RC,NK²]), accumulated
+		// in place — no per-sample gradient tensor.
+		tensor.MatMulTransBInto(gw, dyb, l.cols[b], true)
+		for m := 0; m < g.OutChannels; m++ {
+			var s float64
+			for _, v := range dyb.Data[m*rc : (m+1)*rc] {
+				s += float64(v)
 			}
+			gb.Data[m] += float32(s)
 		}
-		l.W.Grad.Reshape(g.OutChannels, g.ColRows()).Add(gw)
-		l.B.Grad.Add(gb)
 	}
+	l.W.Grad.Reshape(g.OutChannels, g.ColRows()).Add(gw)
+	l.B.Grad.Add(gb)
+}
 
-	tensor.ParallelChunks(batch, func(_, b0, b1 int) {
+// inputGrad computes dx = conv⁻ᵀ(dy) into the layer's reusable buffer.
+func (l *Conv2D) inputGrad(dys []*tensor.Tensor) *tensor.Tensor {
+	g := l.Geom
+	perImage := g.InChannels * g.InHeight * g.InWidth
+	// The input-gradient buffer is reused across steps; only the batch
+	// dimension can change between calls (geometry is fixed per layer).
+	if l.dx == nil || l.dx.Dim(0) != len(dys) {
+		l.dx = tensor.New(l.inShape...)
+	}
+	dx := l.dx
+	fm := l.W.Value.Reshape(g.OutChannels, g.ColRows())
+	tensor.ParallelChunks(len(dys), func(_, b0, b1 int) {
 		dcols := l.ws.Get(g.ColRows(), g.ColCols())
 		defer l.ws.Put(dcols)
 		for b := b0; b < b1; b++ {

@@ -63,27 +63,35 @@ func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if l.lastX == nil {
-		panic("nn: dense backward before forward(train=true)")
-	}
-	batch := dy.Dim(0)
-	if !l.W.Frozen {
-		// dW += dyᵀ · x  ([Out,B] × [B,In]), accumulated straight into
-		// the parameter gradient — no intermediate tensor.
-		tensor.MatMulTransAInto(l.W.Grad, dy, l.lastX, true)
-		for b := 0; b < batch; b++ {
-			row := dy.Data[b*l.Out : (b+1)*l.Out]
-			for j, v := range row {
-				l.B.Grad.Data[j] += v
-			}
-		}
-	}
+	l.backwardParams(dy)
 	// dx = dy · W  ([B,Out] × [Out,In]), written into the reusable
 	// buffer. The previous step's dx is no longer referenced by then:
 	// it was consumed by the preceding layer's backward pass.
+	batch := dy.Dim(0)
 	if l.dx == nil || l.dx.Dim(0) != batch {
 		l.dx = tensor.New(batch, l.In)
 	}
 	tensor.MatMulInto(l.dx, dy, l.W.Value)
 	return l.dx
+}
+
+// backwardParams adds the batch's weight and bias gradients to W.Grad
+// and B.Grad, unless W is frozen; Backward is this plus the input
+// gradient.
+func (l *Dense) backwardParams(dy *tensor.Tensor) {
+	if l.lastX == nil {
+		panic("nn: dense backward before forward(train=true)")
+	}
+	if l.W.Frozen {
+		return
+	}
+	// dW += dyᵀ · x  ([Out,B] × [B,In]), accumulated straight into the
+	// parameter gradient — no intermediate tensor.
+	tensor.MatMulTransAInto(l.W.Grad, dy, l.lastX, true)
+	for b := 0; b < dy.Dim(0); b++ {
+		row := dy.Data[b*l.Out : (b+1)*l.Out]
+		for j, v := range row {
+			l.B.Grad.Data[j] += v
+		}
+	}
 }

@@ -12,6 +12,12 @@ import (
 // gradient with respect to its input, accumulating parameter gradients on
 // the way. Layers are stateful between Forward and Backward (they cache
 // activations) and are not safe for concurrent use.
+//
+// Backward must change nothing except the layer's parameter gradients,
+// the dx it returns and dy, which it may overwrite: no caller reads a
+// gradient again after passing it down. Network.TrainStep relies on
+// that: it skips the Backward of every layer below the lowest one with a
+// trainable parameter, since nothing reads their gradients.
 type Layer interface {
 	Name() string
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
@@ -63,18 +69,19 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It masks dy in place and returns it: the
+// gradient is dead once passed down, so an in-place mask needs neither
+// an allocation per step nor a buffer kept between steps.
 func (l *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if len(dy.Data) != len(l.mask) {
 		panic("nn: ReLU backward before forward or size mismatch")
 	}
-	dx := dy.Clone()
-	for i := range dx.Data {
+	for i := range dy.Data {
 		if !l.mask[i] {
-			dx.Data[i] = 0
+			dy.Data[i] = 0
 		}
 	}
-	return dx
+	return dy
 }
 
 // Flatten reshapes [B, ...] into [B, rest]. It is a pure view change.

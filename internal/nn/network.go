@@ -59,6 +59,16 @@ func (n *Network) ZeroGrad() {
 // TrainStep runs one forward/backward pass on a batch and returns the mean
 // loss and batch accuracy. Parameter gradients are left accumulated for
 // the optimizer.
+//
+// Backward stops at the lowest layer that has a trainable parameter
+// (non-frozen, with a gradient): that layer accumulates its parameter
+// gradients but computes no input gradient, and the layers below it get
+// no Backward call. With every parameter frozen there is no backward
+// pass. This is what makes a locked CONV prefix cost no backward work,
+// and it is exact because a layer's Backward changes nothing except its
+// parameter gradients, the dx it returns and the dy it was given (see
+// Layer): every trainable gradient comes from the same calls, in the
+// same order, as a full backward.
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	s := nstats.Load()
 	var stepStart time.Time
@@ -68,21 +78,50 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (loss, acc float64) 
 	logits := n.Forward(x, true)
 	loss, grad := n.loss.LossAndGrad(logits, labels)
 	acc = Accuracy(logits, labels)
-	if s == nil {
-		for i := len(n.Layers) - 1; i >= 0; i-- {
-			grad = n.Layers[i].Backward(grad)
+	stop := n.stopLayer()
+	for i := len(n.Layers) - 1; i >= stop; i-- {
+		var start time.Time
+		if s != nil {
+			start = time.Now()
 		}
-		return loss, acc
+		l := n.Layers[i]
+		if pg, ok := l.(paramGrader); ok && i == stop {
+			pg.backwardParams(grad)
+		} else {
+			grad = l.Backward(grad)
+		}
+		if s != nil {
+			s.observeBackward(l.Name(), time.Since(start))
+		}
 	}
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		start := time.Now()
-		grad = n.Layers[i].Backward(grad)
-		s.observeBackward(n.Layers[i].Name(), time.Since(start))
+	if s != nil {
+		s.trainSteps.Add(1)
+		s.stepLoss.Set(loss)
+		s.stepTime.Observe(float64(time.Since(stepStart)) / float64(time.Microsecond))
 	}
-	s.trainSteps.Add(1)
-	s.stepLoss.Set(loss)
-	s.stepTime.Observe(float64(time.Since(stepStart)) / float64(time.Microsecond))
 	return loss, acc
+}
+
+// paramGrader is implemented by layers whose Backward splits into a
+// parameter-gradient half and an input-gradient half. backwardParams
+// runs the first half exactly as Backward would and skips the second;
+// TrainStep calls it on the lowest trainable layer, whose input gradient
+// nothing reads.
+type paramGrader interface {
+	backwardParams(dy *tensor.Tensor)
+}
+
+// stopLayer returns the index of the lowest layer with a trainable
+// parameter, or len(n.Layers) when every parameter is frozen.
+func (n *Network) stopLayer() int {
+	for i, l := range n.Layers {
+		for _, p := range l.Params() {
+			if !p.Frozen && p.Grad != nil {
+				return i
+			}
+		}
+	}
+	return len(n.Layers)
 }
 
 // Predict returns the argmax class per input row/batch element.

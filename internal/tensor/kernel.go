@@ -49,7 +49,8 @@ const (
 	parallelGemmFlops = 1 << 17
 
 	// maxMicroElems bounds mr·nr over every selectable micro-kernel; the
-	// edge handler's stack buffer is sized by it (checked in useKernel).
+	// edge handler's per-tile scratch is sized by it (checked in
+	// useKernel).
 	maxMicroElems = 64
 )
 
@@ -68,6 +69,9 @@ type gemmJob struct {
 	// inside gemmOn.
 	p0, kb     int
 	abuf, bbuf []float32
+	// edge holds maxMicroElems floats of fringe scratch per macro-tile,
+	// so concurrent tiles never share it; valid only inside gemmOn.
+	edge []float32
 }
 
 // packA and packB scratch. Two pools, because the two buffer sizes
@@ -75,6 +79,7 @@ type gemmJob struct {
 var (
 	packAPool Workspace
 	packBPool Workspace
+	edgePool  Workspace
 )
 
 // newGemmJob derives the blocking geometry for one GEMM problem.
@@ -144,8 +149,9 @@ func gemmOn(p *workerPool, g *gemmJob) {
 	nPanels := (g.n + nr - 1) / nr
 	ap := packAPool.GetSlice(mPanels * mr * kcBlock)
 	bp := packBPool.GetSlice(nPanels * nr * kcBlock)
-	g.abuf, g.bbuf = *ap, *bp
 	tiles := g.tilesM * g.tilesN
+	ep := edgePool.GetSlice(tiles * maxMicroElems)
+	g.abuf, g.bbuf, g.edge = *ap, *bp, *ep
 	packUnits := g.tilesM + g.tilesN
 	par := int64(g.m)*int64(g.n)*int64(g.k) >= parallelGemmFlops &&
 		tiles >= 2 && p != nil && p.workers > 0 && p.mu.TryLock()
@@ -183,9 +189,10 @@ func gemmOn(p *workerPool, g *gemmJob) {
 	if par {
 		p.mu.Unlock()
 	}
-	g.abuf, g.bbuf = nil, nil
+	g.abuf, g.bbuf, g.edge = nil, nil, nil
 	packAPool.PutSlice(ap)
 	packBPool.PutSlice(bp)
+	edgePool.PutSlice(ep)
 }
 
 // gemmPackUnit packs one tileM-row block of A (units [0, tilesM)) or one
@@ -221,6 +228,7 @@ func gemmTile(g *gemmJob, tile int) {
 		}
 	}
 	kb := g.kb
+	edge := g.edge[tile*maxMicroElems : (tile+1)*maxMicroElems]
 	for jj := j0; jj < j1; jj += nr {
 		bpan := g.bbuf[(jj/nr)*kb*nr:]
 		nrem := j1 - jj
@@ -231,7 +239,7 @@ func gemmTile(g *gemmJob, tile int) {
 			if mrem >= mr && nrem >= nr {
 				microKernel(cc, g.n, apan, bpan, kb)
 			} else {
-				microKernelEdge(cc, g.n, apan, bpan, kb, mrem, nrem)
+				microKernelEdge(cc, g.n, apan, bpan, kb, mrem, nrem, edge)
 			}
 		}
 	}
@@ -327,11 +335,15 @@ func packB(dst, b []float32, ldb int, transB bool, p0, kb, j0, nb int) {
 }
 
 // microKernelEdge handles partial tiles at the right/bottom fringe: the
-// panels are zero-padded, so the full product lands in a stack buffer and
-// only the valid mrem×nrem corner is added into C.
-func microKernelEdge(c []float32, ldc int, ap, bp []float32, kb, mrem, nrem int) {
-	var tmp [maxMicroElems]float32
-	microKernel(tmp[:mr*nr], nr, ap, bp, kb)
+// panels are zero-padded, so the full product lands in the tile's
+// scratch and only the valid mrem×nrem corner is added into C. The
+// scratch comes from the caller because microKernel is called through a
+// function variable: a local array would escape to the heap on every
+// edge tile.
+func microKernelEdge(c []float32, ldc int, ap, bp []float32, kb, mrem, nrem int, scratch []float32) {
+	tmp := scratch[:mr*nr]
+	clear(tmp)
+	microKernel(tmp, nr, ap, bp, kb)
 	if mrem > mr {
 		mrem = mr
 	}

@@ -159,6 +159,28 @@ func closeEnough(got, want *Tensor, tol float64) bool {
 	return true
 }
 
+// A blocked GEMM whose M and N are not multiples of the micro-tile
+// (M = 12 is every 12-channel conv) runs fringe tiles through
+// microKernelEdge; their scratch is pooled per call, never allocated per
+// tile.
+func TestGemmEdgeTilesZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates on otherwise allocation-free paths")
+	}
+	const m, n, k = 12, 36, 64
+	if m%mr == 0 && n%nr == 0 {
+		t.Fatalf("%d×%d has no fringe tiles for a %d×%d micro-kernel", m, n, mr, nr)
+	}
+	r := NewRNG(36)
+	a, b, c := New(m, k), New(k, n), New(m, n)
+	a.FillNormal(r, 0, 1)
+	b.FillNormal(r, 0, 1)
+	MatMulInto(c, a, b) // warm pools
+	if allocs := testing.AllocsPerRun(50, func() { MatMulInto(c, a, b) }); allocs != 0 {
+		t.Errorf("MatMulInto %d×%d×%d allocates %.1f objects/op, want 0", m, n, k, allocs)
+	}
+}
+
 // The kernels must not allocate in steady state: pack scratch comes from
 // the workspace pools and the worker-pool dispatch is allocation-free.
 func TestKernelsZeroAllocSteadyState(t *testing.T) {

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"fmt"
 	"testing"
 
 	"insitu/internal/dataset"
@@ -177,5 +178,20 @@ func TestTransferBeatsScratchOnLimitedLabels(t *testing.T) {
 	t.Logf("scratch %.3f transfer %.3f", scratchAcc, transferAcc)
 	if transferAcc < scratchAcc-0.02 {
 		t.Fatalf("transfer (%v) clearly worse than scratch (%v)", transferAcc, scratchAcc)
+	}
+}
+
+// One fine-tune step (batch 32, TinyAlex) with nothing locked and with
+// the paper's CONV-3 lock. Locked layers below the lowest trainable one
+// do no backward work at all, so locked=3 should be the cheaper step.
+func BenchmarkFineTuneStep(b *testing.B) {
+	samples := dataset.NewGenerator(4, 8).MixedSet(128, 0.5, 0.6)
+	for _, locked := range []int{0, 3} {
+		b.Run(fmt.Sprintf("locked=%d", locked), func(b *testing.B) {
+			net := models.TinyAlex(4, 9)
+			b.ReportAllocs()
+			b.ResetTimer()
+			FineTune(net, samples, train.DefaultConfig(b.N), locked)
+		})
 	}
 }
