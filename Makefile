@@ -1,15 +1,22 @@
 # Development targets for the insitu reproduction. `make check` is the
-# pre-commit gate: vet, build, the full test suite under the race
-# detector, and a benchmark smoke run of the compute-kernel hot path.
+# pre-commit gate: vet, the dead-export check, build, the full test
+# suite under the race detector, and a benchmark smoke run of the
+# compute-kernel hot path.
 
 GO ?= go
 
-.PHONY: check vet build test race race-short ingest-stress bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke train-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
+.PHONY: check vet deadcode build test race race-short ingest-stress bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke train-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
 
-check: vet build race bench-smoke
+check: vet deadcode build race bench-smoke
 
 vet:
 	$(GO) vet ./...
+
+# Dead-export check: every exported function, method and type must be
+# reachable from a main package's non-test code, or be listed with a
+# reason in scripts/deadcode.allow.
+deadcode:
+	$(GO) run ./scripts/deadcode
 
 build:
 	$(GO) build ./...

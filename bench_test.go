@@ -48,12 +48,17 @@ func BenchmarkTrainStep(b *testing.B) {
 	for i := range labels {
 		labels[i] = i % 10
 	}
-	net.ZeroGrad()
+	zeroGrads := func() {
+		for _, p := range net.Params() {
+			p.ZeroGrad()
+		}
+	}
+	zeroGrads()
 	net.TrainStep(x, labels) // warm kernel and gradient pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
+		zeroGrads()
 		net.TrainStep(x, labels)
 	}
 }

@@ -83,15 +83,6 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetKeep adjusts how many snapshots are retained (minimum 1). Keeping
-// more than one is what makes torn-write fallback possible.
-func (s *Store) SetKeep(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.keep = n
-}
-
 type snapInfo struct {
 	name string
 	seq  uint64

@@ -134,7 +134,7 @@ func TestMissingManifestScans(t *testing.T) {
 func TestRetentionPrunes(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
-	s.SetKeep(2)
+	s.keep = 2
 	for i := 0; i < 5; i++ {
 		if _, err := s.Save([]byte{byte(i)}); err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ package cloud
 
 import (
 	"insitu/internal/device"
+	"insitu/internal/jigsaw"
 	"insitu/internal/models"
 	"insitu/internal/transfer"
 )
@@ -57,41 +58,13 @@ func (m CostModel) trainCost(opsPerSample int64, samples, epochs int) Cost {
 // (d) uses the shared prefix (the paper fine-tunes only the last two CONV
 // layers plus FCN).
 func (m CostModel) UpdateCost(spec models.NetSpec, samples, lockedConvs int) Cost {
-	return m.trainCost(transfer.TrainingOpsPerSample(spec, lockedConvs), samples, m.EpochsPerUpdate)
+	return m.trainCost(transfer.TrainingOpsPerSample(spec, lockedConvs, 1), samples, m.EpochsPerUpdate)
 }
 
 // PretrainCost prices unsupervised (jigsaw) pre-training on `samples` raw
 // images with the first lockedConvs CONV layers weight-shared (frozen).
 // The jigsaw network runs its CONV stack on all 9 patches per image plus
-// the FCN head; locked layers skip the weight-gradient pass (forward +
-// input-gradient only), unlocked layers pay the full 3× forward.
+// the FCN head once.
 func (m CostModel) PretrainCost(diagSpec models.NetSpec, samples, lockedConvs int) Cost {
-	var ops int64
-	convSeen := 0
-	for _, l := range diagSpec.Layers {
-		layerOps := l.Ops()
-		patches := int64(1)
-		if l.Kind == models.Conv {
-			patches = 9
-			convSeen++
-		}
-		passes := int64(3)
-		if l.Kind == models.Conv && convSeen <= lockedConvs {
-			passes = 2
-		}
-		ops += passes * patches * layerOps
-	}
-	return m.trainCost(ops, samples, m.EpochsPerUpdate)
-}
-
-// UpdateSpeedup returns how much faster variant-d style updates (err-only
-// data + weight sharing) are over variant-a style updates (all data, full
-// network) for one stage — the Fig. 25 speedup series.
-func (m CostModel) UpdateSpeedup(spec models.NetSpec, allSamples, errSamples, lockedConvs int) float64 {
-	full := m.UpdateCost(spec, allSamples, 0)
-	reduced := m.UpdateCost(spec, errSamples, lockedConvs)
-	if reduced.Seconds == 0 {
-		return 1
-	}
-	return full.Seconds / reduced.Seconds
+	return m.trainCost(transfer.TrainingOpsPerSample(diagSpec, lockedConvs, jigsaw.GridTiles), samples, m.EpochsPerUpdate)
 }

@@ -35,19 +35,23 @@ func TestWeightSharingCutsUpdateCost(t *testing.T) {
 	}
 }
 
+// updateSpeedup returns how much faster variant-d style updates (err-only
+// data + weight sharing) are than variant-a style updates (all data, full
+// network) under m — the Fig. 25 speedup series.
+func updateSpeedup(m CostModel, spec models.NetSpec, allSamples, errSamples, lockedConvs int) float64 {
+	return m.UpdateCost(spec, allSamples, 0).Seconds / m.UpdateCost(spec, errSamples, lockedConvs).Seconds
+}
+
 func TestUpdateSpeedupCombinesBothSavings(t *testing.T) {
 	m := NewCostModel()
 	spec := models.AlexNet()
 	// Err-only data (29%) + CONV-3 sharing: speedup must exceed either
 	// alone.
-	s := m.UpdateSpeedup(spec, 1000, 290, 3)
-	dataOnly := m.UpdateSpeedup(spec, 1000, 290, 0)
-	shareOnly := m.UpdateSpeedup(spec, 1000, 1000, 3)
+	s := updateSpeedup(m, spec, 1000, 290, 3)
+	dataOnly := updateSpeedup(m, spec, 1000, 290, 0)
+	shareOnly := updateSpeedup(m, spec, 1000, 1000, 3)
 	if s <= dataOnly || s <= shareOnly {
 		t.Fatalf("combined speedup %v not above parts (%v, %v)", s, dataOnly, shareOnly)
-	}
-	if m.UpdateSpeedup(spec, 1000, 0, 3) != 1 {
-		t.Fatal("zero-sample update must report neutral speedup")
 	}
 }
 
@@ -56,8 +60,8 @@ func TestFig25SpeedupBand(t *testing.T) {
 	// 0.72 to 0.29. Check both ends land in a plausible band.
 	m := NewCostModel()
 	spec := models.AlexNet()
-	early := m.UpdateSpeedup(spec, 1000, 720, 3)
-	late := m.UpdateSpeedup(spec, 1000, 290, 3)
+	early := updateSpeedup(m, spec, 1000, 720, 3)
+	late := updateSpeedup(m, spec, 1000, 290, 3)
 	if early < 1.2 || early > 2.5 {
 		t.Fatalf("early-stage speedup = %v, want ~1.4-1.9", early)
 	}
@@ -79,6 +83,26 @@ func TestPretrainCostPositiveAndScales(t *testing.T) {
 	c2 := m.PretrainCost(diag, 3000, 0)
 	if c2.Seconds/c.Seconds < 2.9 || c2.Seconds/c.Seconds > 3.1 {
 		t.Fatalf("pretrain cost not linear: %v", c2.Seconds/c.Seconds)
+	}
+}
+
+// Pre-training and updates share one pricing rule
+// (transfer.TrainingOpsPerSample); these are the costs the rule gave
+// before they shared it, so the round reports' priced costs stay put.
+func TestPretrainCostPinned(t *testing.T) {
+	m := NewCostModel()
+	diag := models.DiagnosisSpec(models.AlexNet(), 100)
+	for _, tc := range []struct {
+		locked          int
+		seconds, joules float64
+	}{
+		{0, 8.796101666666667, 2199.025416666667},
+		{3, 6.929936666666666, 1732.4841666666666},
+		{5, 5.871536666666667, 1467.8841666666667},
+	} {
+		if got := m.PretrainCost(diag, 1000, tc.locked); got != (Cost{Seconds: tc.seconds, Joules: tc.joules}) {
+			t.Errorf("locked %d: PretrainCost = %+v, want {%v %v}", tc.locked, got, tc.seconds, tc.joules)
+		}
 	}
 }
 

@@ -69,9 +69,6 @@ func TestSystemKindPredicates(t *testing.T) {
 	if core.SystemInSituDiagnosis.UsesWeightSharing() || !core.SystemInSituAI.UsesWeightSharing() {
 		t.Fatal("only variant d uses weight sharing")
 	}
-	if core.SystemCloudAll.FiltersTraining() {
-		t.Fatal("variant a trains on everything")
-	}
 	for _, k := range core.AllKinds() {
 		if k.String() == "" {
 			t.Fatal("empty kind name")

@@ -67,9 +67,6 @@ func (k SystemKind) UsesNodeDiagnosis() bool {
 // UsesWeightSharing reports whether updates lock the shared CONV prefix.
 func (k SystemKind) UsesWeightSharing() bool { return k == SystemInSituAI }
 
-// FiltersTraining reports whether Cloud training uses only valuable data.
-func (k SystemKind) FiltersTraining() bool { return k != SystemCloudAll }
-
 // StepsFor scales training steps to a stage's data volume; see
 // cloud.StepsFor.
 func StepsFor(n int) int { return cloud.StepsFor(n) }

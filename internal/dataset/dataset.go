@@ -136,15 +136,6 @@ func (g *Generator) InSitu(severity float64) Sample {
 	return g.render(label, cond, severity)
 }
 
-// RenderClass renders a specific class under a specific condition —
-// useful for tests.
-func (g *Generator) RenderClass(label int, cond Condition, severity float64) Sample {
-	if label < 0 || label >= g.Classes {
-		panic(fmt.Sprintf("dataset: label %d out of range", label))
-	}
-	return g.render(label, cond, severity)
-}
-
 func (g *Generator) render(label int, cond Condition, severity float64) Sample {
 	const S = models.ImgSize
 	sig := g.sigs[label]

@@ -74,7 +74,7 @@ func TestClassesAreVisuallyDistinct(t *testing.T) {
 		acc := make([]float64, models.ImgChannels*models.ImgSize*models.ImgSize)
 		const n = 30
 		for i := 0; i < n; i++ {
-			s := g.RenderClass(label, Ideal, 0)
+			s := g.render(label, Ideal, 0)
 			for j, v := range s.Image.Data {
 				acc[j] += float64(v) / n
 			}
@@ -98,12 +98,17 @@ func TestClassesAreVisuallyDistinct(t *testing.T) {
 
 func TestPoorIlluminationIsDarker(t *testing.T) {
 	g := NewGenerator(4, 4)
+	mean := func(s Sample) float64 {
+		var sum float64
+		for _, v := range s.Image.Data {
+			sum += float64(v)
+		}
+		return sum / float64(s.Image.Size())
+	}
 	var ideal, dark float64
 	for i := 0; i < 20; i++ {
-		s := g.RenderClass(0, Ideal, 0)
-		ideal += s.Image.Sum() / float64(s.Image.Size())
-		d := g.RenderClass(0, PoorIllumination, 1)
-		dark += d.Image.Sum() / float64(d.Image.Size())
+		ideal += mean(g.render(0, Ideal, 0))
+		dark += mean(g.render(0, PoorIllumination, 1))
 	}
 	if dark >= ideal*0.75 {
 		t.Fatalf("poor illumination mean %v not clearly below ideal %v", dark/20, ideal/20)
@@ -185,7 +190,7 @@ func TestQuickRenderTotality(t *testing.T) {
 		c := Condition(int(cond) % 5)
 		s := math.Abs(sev)
 		s -= math.Floor(s)
-		smp := g.RenderClass(l, c, s)
+		smp := g.render(l, c, s)
 		for _, v := range smp.Image.Data {
 			if v < 0 || v > 1 || math.IsNaN(float64(v)) {
 				return false

@@ -85,7 +85,7 @@ func TestDeliverMetersFirstTransmit(t *testing.T) {
 	// exactly once.
 	bundle2, tgt2 := deliverFixture(t)
 	bundle2.Version = 2
-	meter.Reset()
+	meter = netsim.NewMeter(netsim.WiFi())
 	link := netsim.NewLossyLink(netsim.WiFi(), netsim.FaultConfig{Seed: 3, DropProb: 0.5})
 	res = Downlink{Link: link, Meter: meter, Retries: 50}.Deliver(bundle2, tgt2)
 	if res.Failed {

@@ -115,7 +115,10 @@ func TestBundleSizeMatchesWeightFootprint(t *testing.T) {
 	jig := jigsaw.NewNet(8, 2)
 	bundle, _ := Pack(1, inf, jig, 0.5)
 	// The bundle must be dominated by the two weight payloads.
-	minSize := inf.ParamBytes() + jig.ParamBytes()
+	var minSize int64
+	for _, p := range append(inf.Params(), jig.Params()...) {
+		minSize += int64(p.Value.Size()) * 4
+	}
 	if bundle.Size() < minSize {
 		t.Fatalf("bundle %d smaller than raw weights %d", bundle.Size(), minSize)
 	}

@@ -87,7 +87,3 @@ func VX690T() FPGASpec {
 		IdlePowerW:   5,
 	}
 }
-
-// PeakOPS returns the FPGA computational roof with all DSP slices busy
-// (2 ops per multiply-add per cycle).
-func (f FPGASpec) PeakOPS() float64 { return 2 * f.FreqHz * float64(f.DSPSlices) }

@@ -7,9 +7,7 @@
 // The paper re-uses the unsupervised jigsaw network for this: an image
 // the network can solve the context-prediction task on is well covered by
 // the learned features; an image it cannot is out-of-distribution and
-// therefore valuable. JigsawDiagnoser implements that faithfully; a
-// simpler ConfidenceDiagnoser (softmax confidence of the inference net)
-// is provided as an ablation baseline.
+// therefore valuable. JigsawDiagnoser implements that.
 package diagnosis
 
 import (
@@ -173,48 +171,6 @@ func (d *JigsawDiagnoser) Threshold() float64 { return d.threshold }
 
 // SetThreshold implements Diagnoser.
 func (d *JigsawDiagnoser) SetThreshold(t float64) { d.threshold = t }
-
-// ConfidenceDiagnoser scores an image by the inference network's top
-// softmax probability — the ablation baseline that needs no second
-// network but cannot run when the inference task is saturated.
-type ConfidenceDiagnoser struct {
-	Net       *nn.Network
-	threshold float64
-}
-
-// NewConfidenceDiagnoser wraps an inference network.
-func NewConfidenceDiagnoser(net *nn.Network) *ConfidenceDiagnoser {
-	return &ConfidenceDiagnoser{Net: net, threshold: 0.5}
-}
-
-// Score implements Diagnoser: a batch of one.
-func (d *ConfidenceDiagnoser) Score(img *tensor.Tensor) float64 {
-	var s [1]float64
-	d.ScoreBatch([]*tensor.Tensor{img}, s[:])
-	return s[0]
-}
-
-// ScoreBatch implements BatchDiagnoser with one forward over the stacked
-// images.
-func (d *ConfidenceDiagnoser) ScoreBatch(imgs []*tensor.Tensor, dst []float64) {
-	copy(dst, nn.TopProb(d.Net.Forward(stack(imgs), false)))
-}
-
-// stack packs same-shaped images into one [len(imgs), ...] batch.
-func stack(imgs []*tensor.Tensor) *tensor.Tensor {
-	per := imgs[0].Size()
-	x := tensor.New(append([]int{len(imgs)}, imgs[0].Shape()...)...)
-	for i, img := range imgs {
-		copy(x.Data[i*per:(i+1)*per], img.Data)
-	}
-	return x
-}
-
-// Threshold implements Diagnoser.
-func (d *ConfidenceDiagnoser) Threshold() float64 { return d.threshold }
-
-// SetThreshold implements Diagnoser.
-func (d *ConfidenceDiagnoser) SetThreshold(t float64) { d.threshold = t }
 
 // Quality summarizes how well a diagnoser's "unrecognized" verdicts align
 // with the inference network's actual mistakes on a labeled set.

@@ -193,12 +193,12 @@ func (a *Agent) write(conn net.Conn, frame []byte) error {
 	return err
 }
 
-// heartbeatLoop beacons the session epoch while the command loop is
-// idle, keeping the cloud's lease fresh between rounds. It stops with
-// the session; a write failure just stops beaconing (the serve loop
-// will surface the conn error itself).
+// heartbeatLoop beacons while the command loop is idle, keeping the
+// cloud's lease fresh between rounds. It stops with the session; a
+// write failure just stops beaconing (the serve loop will surface the
+// conn error itself).
 func (a *Agent) heartbeatLoop(conn net.Conn, proto uint8, every time.Duration, stop chan struct{}) {
-	frame, err := wire.EncodeFrame(proto, wire.MsgHeartbeat, wire.EncodeHeartbeat(a.epoch))
+	frame, err := wire.EncodeFrame(proto, wire.MsgHeartbeat, nil)
 	if err != nil {
 		return
 	}

@@ -405,12 +405,6 @@ func (f *Fleet) SetSeverity(severity float64) { f.severity = severity }
 // kept out of RoundReports (which are byte-compared across runs).
 func (f *Fleet) WallSeconds() float64 { return f.wall }
 
-// CloudVersion returns the latest bundle version the server published.
-func (f *Fleet) CloudVersion() uint32 { return f.cloud.Version() }
-
-// Health returns the fleet's health tracker (nil when none configured).
-func (f *Fleet) Health() *health.Tracker { return f.Cfg.Health }
-
 // Bootstrap runs round 0: every node captures and uploads n raw images,
 // the server pre-trains the unsupervised network on the admitted pool,
 // transfers into the inference network, fine-tunes, calibrates the

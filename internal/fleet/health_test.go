@@ -79,10 +79,11 @@ func TestFleetHealthAccuracyWiring(t *testing.T) {
 	cfg := testCfg(2)
 	cfg.Health = health.NewTracker(health.SLO{})
 	run(cfg, 24, []int{16})
-	s, ok := cfg.Health.Node(0)
-	if !ok {
+	nodes := cfg.Health.Snapshot().Nodes
+	if len(nodes) == 0 || nodes[0].Node != 0 {
 		t.Fatal("node 0 missing from tracker")
 	}
+	s := nodes[0]
 	if s.ModelVersion == 0 {
 		t.Errorf("node 0 model version = 0, want deployed version")
 	}
@@ -108,7 +109,7 @@ func TestCheckpointPreservesTelemetry(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5} {
 		h.Observe(v)
 	}
-	wantP50 := h.Quantile(0.5)
+	wantP50 := reg.Snapshot().Histograms["admit_s"].Quantile(0.5)
 	w := reg.Window("win_s", []float64{1, 10}, 0, 0)
 	w.Observe(5)
 
@@ -138,10 +139,10 @@ func TestCheckpointPreservesTelemetry(t *testing.T) {
 	if h2.Count() != 4 {
 		t.Fatalf("restored histogram count = %d, want 4", h2.Count())
 	}
-	if got := h2.Quantile(0.5); got != wantP50 {
+	if got := reg2.Snapshot().Histograms["admit_s"].Quantile(0.5); got != wantP50 {
 		t.Errorf("restored p50 = %g, want %g", got, wantP50)
 	}
-	if got := reg2.Window("win_s", nil, 0, 0).Count(); got != 1 {
+	if got := reg2.Window("win_s", nil, 0, 0).Snapshot().Count; got != 1 {
 		t.Errorf("restored window count = %d, want 1", got)
 	}
 }

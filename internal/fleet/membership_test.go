@@ -49,7 +49,7 @@ func runChurn(t *testing.T, cfg Config, boot int, rounds []int, pxCfg *netsim.Pr
 		}
 		px := netsim.NewProxy(pln, dialAddr, *pxCfg)
 		defer px.Close()
-		dialAddr = px.Addr().String()
+		dialAddr = pln.Addr().String()
 	}
 
 	done := make(chan struct{})
@@ -270,7 +270,11 @@ func TestListenRefusesPreviousProtocol(t *testing.T) {
 	defer old.Close()
 	prev := wire.ProtoMin - 1
 	hello := wire.Hello{Node: 0, MinProto: prev, MaxProto: prev}
-	if err := wire.WriteFrame(old, prev, wire.MsgHello, hello.Encode()); err != nil {
+	frame, err := wire.EncodeFrame(prev, wire.MsgHello, hello.Encode())
+	if err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	if _, err := old.Write(frame); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	old.SetReadDeadline(time.Now().Add(handshakeGrace))
@@ -296,6 +300,43 @@ func TestListenRefusesPreviousProtocol(t *testing.T) {
 	f.Close()
 	if err := <-agentErr; err != nil {
 		t.Fatalf("agent: %v", err)
+	}
+}
+
+// Heartbeats alone keep a lease: a conn that sends nothing but
+// MsgHeartbeat for three leases never expires (parkExpired parks exactly
+// the peers whose leaseExpired holds), whatever the payload — agents
+// before the payload was dropped sent the 8-byte session epoch. Once
+// the beats stop, the lease runs out.
+func TestHeartbeatsKeepLeaseAlive(t *testing.T) {
+	const lease = 300 * time.Millisecond
+	for name, payload := range map[string][]byte{"empty": nil, "legacy epoch": {7, 0, 0, 0, 0, 0, 0, 0}} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p := &remotePeer{inbox: newFrameRing(inboxDepth)}
+			cloud, node := net.Pipe()
+			defer node.Close()
+			p.attach(cloud, wire.ProtoMax, 1, nil)
+			beat, err := wire.EncodeFrame(wire.ProtoMax, wire.MsgHeartbeat, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for end := time.Now().Add(3 * lease); time.Now().Before(end); {
+				if _, err := node.Write(beat); err != nil {
+					t.Fatalf("heartbeat: %v", err)
+				}
+				time.Sleep(lease / 4)
+				if p.leaseExpired(lease) || p.isParked() {
+					t.Fatal("lease expired while heartbeats flowed")
+				}
+			}
+			for deadline := time.Now().Add(3 * lease); !p.leaseExpired(lease); {
+				if time.Now().After(deadline) {
+					t.Fatal("lease still fresh after heartbeats stopped")
+				}
+				time.Sleep(lease / 10)
+			}
+		})
 	}
 }
 

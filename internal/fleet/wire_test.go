@@ -39,7 +39,7 @@ func listenRemote(t *testing.T, cfg Config, pxCfg *netsim.ProxyConfig) (f *Fleet
 			t.Fatalf("proxy listen: %v", err)
 		}
 		px = netsim.NewProxy(pln, dialAddr, *pxCfg)
-		dialAddr = px.Addr().String()
+		dialAddr = pln.Addr().String()
 	}
 
 	var wg sync.WaitGroup

@@ -154,9 +154,6 @@ func (d WSSDesign) PEPerWSS() int {
 	return d.Inference.DSP() + d.Patches*d.Diagnosis.DSP()
 }
 
-// DSP returns the whole group's PE count.
-func (d WSSDesign) DSP() int { return d.GroupSize * d.PEPerWSS() }
-
 // RunWSS processes the workload on the two-level weight-shared design.
 // Inference and diagnosis proceed in lockstep per layer; the 4:1 resource
 // split matches their 4:1 computational loads so neither side idles.

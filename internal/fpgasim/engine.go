@@ -81,12 +81,4 @@ func (e WSSEngine) ConvCyclesGroup(l models.LayerSpec, groupSize int) int64 {
 		int64(ceilDiv(l.R, e.Tr)) * int64(ceilDiv(l.C, e.Tc))
 }
 
-// Utilization returns the PE utilization of the engine on one layer: the
-// useful MACs divided by PE-cycles spent.
-func (e WSSEngine) Utilization(l models.LayerSpec, groupSize int) float64 {
-	useful := float64(l.Ops()) / 2 // MACs for the whole layer
-	peCycles := float64(e.ConvCyclesGroup(l, groupSize)) * float64(e.DSP()) * float64(groupSize)
-	return useful / peCycles
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -41,7 +41,7 @@ func TestFPGAUtilizationBatchIndependent(t *testing.T) {
 	// Fig. 15's FPGA property: eq. (4) has no batch term. The engine's
 	// per-image cycles scale exactly linearly, so utilization is flat.
 	e := NWSEngine{Tm: 32, Tn: 16}
-	l, _ := models.AlexNet().Layer("conv3")
+	l := models.AlexNet().Layers[2] // conv3
 	u := e.Utilization(l)
 	for batch := 2; batch <= 64; batch *= 2 {
 		if got := e.Utilization(l); got != u {
@@ -83,7 +83,7 @@ func TestBatchLoopReducesTraffic(t *testing.T) {
 
 func TestWSSGroupCyclesEq11(t *testing.T) {
 	e := WSSEngine{Tr: 14, Tc: 14}
-	l, _ := models.AlexNet().Layer("conv1")
+	l := models.AlexNet().Layers[0] // conv1
 	// ⌈96/4⌉·3·121·⌈55/14⌉·⌈55/14⌉ = 24·3·121·16 = 139392.
 	if got := e.ConvCyclesGroup(l, 4); got != 24*3*121*16 {
 		t.Fatalf("eq11 cycles = %d, want %d", got, 24*3*121*16)
@@ -98,8 +98,8 @@ func TestWSSDesignBudget(t *testing.T) {
 	if d.GroupSize != 4 {
 		t.Fatalf("GroupSize = %d, want 4", d.GroupSize)
 	}
-	if d.DSP() > 2628 {
-		t.Fatalf("design exceeds budget: %d", d.DSP())
+	if pe := d.GroupSize * d.PEPerWSS(); pe > 2628 {
+		t.Fatalf("design exceeds budget: %d", pe)
 	}
 	// Tiny budget still yields a working (single) group.
 	if DefaultWSSDesign(100, 9).GroupSize != 1 {

@@ -78,10 +78,6 @@ func (p *Pipeline) convRun() ConvRunResult {
 	}
 }
 
-// ConvTimePerImage returns the amortized CONV stage time per image at
-// batch 1 (compute + full weight load).
-func (p *Pipeline) ConvTimePerImage() float64 { return p.ConvStageTime(1) }
-
 // ConvStageTime returns the CONV stage time for one pipeline beat of
 // bsize images: compute scales with the batch, weight loading is paid
 // once per beat.

@@ -143,12 +143,6 @@ func (s *Sim) PerfPerWatt(spec models.NetSpec, batch int) float64 {
 	return s.NetTime(spec, batch).Throughput() / s.Spec.PowerW
 }
 
-// EnergyPerImage returns joules per processed image.
-func (s *Sim) EnergyPerImage(spec models.NetSpec, batch int) float64 {
-	r := s.NetTime(spec, batch)
-	return s.Spec.PowerW * r.TotalTime() / float64(batch)
-}
-
 // MemoryUse returns the bytes of device memory a batch needs:
 // max over layers of (Din + Dw + Dout) × 4 bytes — the left side of the
 // resource model, eq. (9).

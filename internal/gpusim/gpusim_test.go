@@ -13,7 +13,7 @@ func sim() *Sim { return New(device.TX1()) }
 
 func TestGridSizeGrowsWithBatch(t *testing.T) {
 	s := sim()
-	l, _ := models.AlexNet().Layer("conv3")
+	l := models.AlexNet().Layers[2] // conv3
 	g1 := s.GridSize(l, 1)
 	g8 := s.GridSize(l, 8)
 	if g8 <= g1 {
@@ -85,7 +85,7 @@ func TestFCNMemoryBoundAtSmallBatch(t *testing.T) {
 
 func TestConvComputeBound(t *testing.T) {
 	s := sim()
-	conv, _ := models.AlexNet().Layer("conv2")
+	conv := models.AlexNet().Layers[1] // conv2
 	if r := s.LayerTime(conv, 4); r.MemoryBound {
 		t.Fatal("conv2 should be compute-bound on TX1")
 	}
@@ -158,16 +158,6 @@ func TestMemoryUseAndEq9(t *testing.T) {
 	}
 	if s.FitsMemory(spec, maxB+1) && maxB != 4096 {
 		t.Fatalf("MaxBatchForMemory(%d) not maximal", maxB)
-	}
-}
-
-func TestEnergyPerImageFallsWithBatch(t *testing.T) {
-	s := sim()
-	spec := models.AlexNet()
-	e1 := s.EnergyPerImage(spec, 1)
-	e32 := s.EnergyPerImage(spec, 32)
-	if e32 >= e1 {
-		t.Fatalf("energy/image should fall with batch: %v -> %v", e1, e32)
 	}
 }
 
@@ -248,9 +238,5 @@ func TestDeviceSpecs(t *testing.T) {
 	titan := device.TitanX()
 	if titan.MaxOPS() <= 10*tx1.MaxOPS() {
 		t.Fatal("TitanX should be >10x TX1")
-	}
-	fpga := device.VX690T()
-	if fpga.PeakOPS() < 1e12 || fpga.PeakOPS() > 2e12 {
-		t.Fatalf("VX690T peak = %v, want ~1.44 TOPS", fpga.PeakOPS())
 	}
 }

@@ -115,9 +115,6 @@ type SLO struct {
 	UpAfter   int
 }
 
-// DefaultSLO returns the default thresholds.
-func DefaultSLO() SLO { return SLO{}.withDefaults() }
-
 func (s SLO) withDefaults() SLO {
 	if s.WindowRounds <= 0 {
 		s.WindowRounds = 8
@@ -262,12 +259,7 @@ type NodeStatus struct {
 	Disconnected bool `json:"disconnected"`
 	Disconnects  int  `json:"disconnects"`
 	Rejoins      int  `json:"rejoins"`
-
-	verdict Verdict
 }
-
-// VerdictValue returns the typed verdict behind the JSON string.
-func (s NodeStatus) VerdictValue() Verdict { return s.verdict }
 
 // IngestStatus is the cloud ingestion path's view: per-shard command
 // queue depths, sampled at each round boundary. Sharded fleets use it to
@@ -321,14 +313,6 @@ type Tracker struct {
 // defaults; see SLO).
 func NewTracker(slo SLO) *Tracker {
 	return &Tracker{slo: slo.withDefaults(), nodes: make(map[int]*node)}
-}
-
-// SLO returns the resolved thresholds the tracker judges against.
-func (t *Tracker) SLO() SLO {
-	if t == nil {
-		return DefaultSLO()
-	}
-	return t.slo
 }
 
 // AttachTelemetry makes the tracker export per-node gauges
@@ -428,7 +412,6 @@ func (t *Tracker) Record(s Sample) NodeStatus {
 
 	status := t.statusLocked(nd)
 	t.applyVerdictLocked(nd, t.targetLocked(status))
-	status.verdict = nd.verdict
 	status.Verdict = nd.verdict.String()
 	t.exportLocked(nd, status)
 	return status
@@ -570,23 +553,6 @@ func (t *Tracker) RecordIngest(shardDepths []int) {
 	t.ingest = &IngestStatus{Shards: append([]int(nil), shardDepths...)}
 }
 
-// Node returns the current status of one node.
-func (t *Tracker) Node(id int) (NodeStatus, bool) {
-	if t == nil {
-		return NodeStatus{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nd, ok := t.nodes[id]
-	if !ok {
-		return NodeStatus{}, false
-	}
-	s := t.statusLocked(nd)
-	s.verdict = nd.verdict
-	s.Verdict = nd.verdict.String()
-	return s, true
-}
-
 // Snapshot returns the whole fleet's status, nodes sorted by id.
 func (t *Tracker) Snapshot() FleetStatus {
 	if t == nil {
@@ -597,7 +563,6 @@ func (t *Tracker) Snapshot() FleetStatus {
 	out := FleetStatus{Rounds: t.rounds, Nodes: make([]NodeStatus, 0, len(t.nodes)), Ingest: t.ingest}
 	for _, nd := range t.nodes {
 		s := t.statusLocked(nd)
-		s.verdict = nd.verdict
 		s.Verdict = nd.verdict.String()
 		out.Nodes = append(out.Nodes, s)
 		switch nd.verdict {

@@ -25,10 +25,10 @@ func dead(n, round int) Sample {
 // a clean node must be Healthy.
 func TestOutageNodeUnhealthyImmediately(t *testing.T) {
 	tr := NewTracker(SLO{})
-	if got := tr.Record(dead(0, 0)); got.VerdictValue() != Unhealthy {
+	if got := tr.Record(dead(0, 0)); got.Verdict != Unhealthy.String() {
 		t.Fatalf("outage node verdict = %s, want unhealthy", got.Verdict)
 	}
-	if got := tr.Record(ok(1, 0)); got.VerdictValue() != Healthy {
+	if got := tr.Record(ok(1, 0)); got.Verdict != Healthy.String() {
 		t.Fatalf("clean node verdict = %s, want healthy", got.Verdict)
 	}
 }
@@ -42,8 +42,8 @@ func TestHysteresisAbsorbsOneBadRound(t *testing.T) {
 		tr.Record(ok(0, r))
 	}
 	tr.Record(Sample{Node: 0, Round: 8, AdmitSeconds: 0.002, UploadFailed: true})
-	s, _ := tr.Node(0)
-	if s.VerdictValue() != Healthy {
+	s, _ := nodeStatus(tr, 0)
+	if s.Verdict != Healthy.String() {
 		t.Fatalf("verdict after one bad round = %s, want healthy", s.Verdict)
 	}
 	if s.UploadFailures != 1 {
@@ -64,12 +64,12 @@ func TestHysteresisStreaks(t *testing.T) {
 	// target) but < 0.75. First such round: streak 1 < DownAfter.
 	tr.Record(Sample{Node: 0, Round: r, AdmitSeconds: 0.002, DeployFailed: true})
 	r++
-	if s, _ := tr.Node(0); s.VerdictValue() != Healthy {
+	if s, _ := nodeStatus(tr, 0); s.Verdict != Healthy.String() {
 		t.Fatalf("verdict after first deploy failure = %s, want healthy (streak)", s.Verdict)
 	}
 	tr.Record(Sample{Node: 0, Round: r, AdmitSeconds: 0.002, DeployFailed: true})
 	r++
-	if s, _ := tr.Node(0); s.VerdictValue() != Degraded {
+	if s, _ := nodeStatus(tr, 0); s.Verdict != Degraded.String() {
 		t.Fatalf("verdict after second deploy failure = %s, want degraded", s.Verdict)
 	}
 	// Recovery: the failures stay in the 4-round window for 3 more
@@ -80,11 +80,11 @@ func TestHysteresisStreaks(t *testing.T) {
 		tr.Record(ok(0, r))
 		r++
 	}
-	if s, _ := tr.Node(0); s.VerdictValue() != Degraded {
+	if s, _ := nodeStatus(tr, 0); s.Verdict != Degraded.String() {
 		t.Fatalf("verdict mid-recovery = %s, want degraded (streak 2 < UpAfter 3)", s.Verdict)
 	}
 	tr.Record(ok(0, r))
-	if s, _ := tr.Node(0); s.VerdictValue() != Healthy {
+	if s, _ := nodeStatus(tr, 0); s.Verdict != Healthy.String() {
 		t.Fatalf("verdict after recovery = %s, want healthy", s.Verdict)
 	}
 }
@@ -99,17 +99,17 @@ func TestDriftMonitor(t *testing.T) {
 	for r := 1; r <= 4; r++ {
 		tr.Record(Sample{Node: 0, Round: r, AdmitSeconds: 0.001, ModelVersion: 1, Accuracy: 0.5, AccuracyValid: true})
 	}
-	s, _ := tr.Node(0)
+	s, _ := nodeStatus(tr, 0)
 	if !s.Drifting {
 		t.Fatalf("node not drifting: drift=%g baseline=%g ewma=%g", s.Drift, s.Baseline, s.Accuracy)
 	}
-	if s.VerdictValue() != Degraded {
+	if s.Verdict != Degraded.String() {
 		t.Fatalf("drifting node verdict = %s, want degraded", s.Verdict)
 	}
 	// New model version deployed successfully → baseline resets to the
 	// current accuracy, drift clears.
 	tr.Record(Sample{Node: 0, Round: 5, AdmitSeconds: 0.001, ModelVersion: 2, Accuracy: 0.5, AccuracyValid: true})
-	s, _ = tr.Node(0)
+	s, _ = nodeStatus(tr, 0)
 	if s.Drifting || s.Drift != 0 {
 		t.Fatalf("drift survived re-baseline: drift=%g drifting=%v", s.Drift, s.Drifting)
 	}
@@ -123,8 +123,8 @@ func TestDriftMonitor(t *testing.T) {
 	for r := 1; r <= 4; r++ {
 		off.Record(Sample{Node: 0, Round: r, AdmitSeconds: 0.001, ModelVersion: 1, Accuracy: 0.5, AccuracyValid: true})
 	}
-	s, _ = off.Node(0)
-	if s.Drifting || s.VerdictValue() != Healthy {
+	s, _ = nodeStatus(off, 0)
+	if s.Drifting || s.Verdict != Healthy.String() {
 		t.Fatalf("disabled drift monitor still fired: verdict=%s drifting=%v", s.Verdict, s.Drifting)
 	}
 }
@@ -135,7 +135,7 @@ func TestFailedDeployKeepsBaseline(t *testing.T) {
 	tr := NewTracker(SLO{})
 	tr.Record(Sample{Node: 0, Round: 0, AdmitSeconds: 0.001, ModelVersion: 1, Accuracy: 0.9, AccuracyValid: true})
 	tr.Record(Sample{Node: 0, Round: 1, AdmitSeconds: 0.001, ModelVersion: 2, DeployFailed: true, Accuracy: 0.6, AccuracyValid: true})
-	s, _ := tr.Node(0)
+	s, _ := nodeStatus(tr, 0)
 	if s.Baseline != 0.9 {
 		t.Fatalf("baseline after failed deploy = %g, want 0.9", s.Baseline)
 	}
@@ -150,11 +150,11 @@ func TestLatencySLO(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		tr.Record(Sample{Node: 0, Round: r, AdmitSeconds: 0.5, ModelVersion: 1})
 	}
-	s, _ := tr.Node(0)
+	s, _ := nodeStatus(tr, 0)
 	if s.AdmitP99Seconds <= 0.01 {
 		t.Fatalf("p99 = %g, want > 0.01", s.AdmitP99Seconds)
 	}
-	if s.VerdictValue() != Degraded {
+	if s.Verdict != Degraded.String() {
 		t.Fatalf("slow node verdict = %s, want degraded", s.Verdict)
 	}
 }
@@ -281,4 +281,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code != 200 || !strings.Contains(string(body), "fleet_node_health") {
 		t.Fatalf("/metrics alongside extras: status %d body %s", code, body)
 	}
+}
+
+// nodeStatus returns node id's entry of tr's snapshot.
+func nodeStatus(tr *Tracker, id int) (NodeStatus, bool) {
+	for _, s := range tr.Snapshot().Nodes {
+		if s.Node == id {
+			return s, true
+		}
+	}
+	return NodeStatus{}, false
 }

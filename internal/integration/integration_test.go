@@ -127,8 +127,8 @@ func TestPlannerChoiceSurvivesRuntime(t *testing.T) {
 		DaySeconds:   60,
 		NightSeconds: 120,
 	})
-	if rep.MissRate() > 0.01 {
-		t.Fatalf("planned node missed %.1f%% of deadlines", rep.MissRate()*100)
+	if miss := float64(rep.DeadlineMisses) / float64(rep.Frames); miss > 0.01 {
+		t.Fatalf("planned node missed %.1f%% of deadlines", miss*100)
 	}
 	if rep.Backlog != 0 {
 		t.Fatalf("diagnosis backlog %d", rep.Backlog)

@@ -16,8 +16,12 @@ func TestPermSetAllValidAndDistinct(t *testing.T) {
 	}
 	seen := map[Permutation]bool{}
 	for _, p := range set.Perms {
-		if !p.Valid() {
-			t.Fatalf("invalid permutation %v", p)
+		var tiles [GridTiles]bool
+		for _, v := range p {
+			if v < 0 || v >= GridTiles || tiles[v] {
+				t.Fatalf("invalid permutation %v", p)
+			}
+			tiles[v] = true
 		}
 		if seen[p] {
 			t.Fatalf("duplicate permutation %v", p)
@@ -30,8 +34,12 @@ func TestPermSetMaxHammingBeatsRandom(t *testing.T) {
 	// The greedy max-min construction must keep permutations far apart:
 	// min pairwise Hamming well above what i.i.d. random picks achieve.
 	set := NewPermSet(30, 2)
-	if d := set.MinPairwiseHamming(); d < 5 {
-		t.Fatalf("min pairwise Hamming = %d, want >= 5", d)
+	for i, p := range set.Perms {
+		for _, q := range set.Perms[i+1:] {
+			if d := p.Hamming(q); d < 5 {
+				t.Fatalf("pairwise Hamming = %d, want >= 5", d)
+			}
+		}
 	}
 }
 
@@ -43,18 +51,6 @@ func TestHammingProperties(t *testing.T) {
 	b := Permutation{1, 0, 2, 3, 4, 5, 6, 7, 8}
 	if a.Hamming(b) != 2 {
 		t.Fatalf("swap distance = %d, want 2", a.Hamming(b))
-	}
-}
-
-func TestPermutationValid(t *testing.T) {
-	if !(Permutation{4, 7, 0, 3, 8, 5, 1, 6, 2}).Valid() {
-		t.Fatal("paper's example permutation rejected")
-	}
-	if (Permutation{0, 0, 2, 3, 4, 5, 6, 7, 8}).Valid() {
-		t.Fatal("duplicate accepted")
-	}
-	if (Permutation{0, 1, 2, 3, 4, 5, 6, 7, 9}).Valid() {
-		t.Fatal("out-of-range accepted")
 	}
 }
 

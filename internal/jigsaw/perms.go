@@ -21,18 +21,6 @@ const GridTiles = 9
 // ([4,7,0,3,8,5,1,6,2] in Fig. 3).
 type Permutation [GridTiles]int
 
-// Valid reports whether p is a true permutation of 0..8.
-func (p Permutation) Valid() bool {
-	var seen [GridTiles]bool
-	for _, v := range p {
-		if v < 0 || v >= GridTiles || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
 // Hamming returns the number of positions where p and q differ.
 func (p Permutation) Hamming(q Permutation) int {
 	d := 0
@@ -91,20 +79,6 @@ func NewPermSet(n int, seed uint64) *PermSet {
 
 // Len returns the number of permutations (the number of task classes).
 func (s *PermSet) Len() int { return len(s.Perms) }
-
-// MinPairwiseHamming returns the smallest Hamming distance between any
-// two distinct permutations in the set.
-func (s *PermSet) MinPairwiseHamming() int {
-	minD := GridTiles + 1
-	for i := range s.Perms {
-		for j := i + 1; j < len(s.Perms); j++ {
-			if d := s.Perms[i].Hamming(s.Perms[j]); d < minD {
-				minD = d
-			}
-		}
-	}
-	return minD
-}
 
 // At returns permutation i.
 func (s *PermSet) At(i int) Permutation {

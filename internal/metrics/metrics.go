@@ -1,6 +1,5 @@
-// Package metrics holds the small reporting types the experiment harness
-// uses to print paper-style tables and figure series as aligned text and
-// CSV.
+// Package metrics holds the table type the experiment harness uses to
+// print paper-style tables as aligned text and CSV.
 package metrics
 
 import (
@@ -29,16 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
-}
-
-// AddFloats appends a row of a label plus formatted floats.
-func (t *Table) AddFloats(label string, format string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.AddRow(cells...)
 }
 
 // String renders the table as aligned text.
@@ -109,62 +98,4 @@ func csvEscape(s string) string {
 		return s
 	}
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-// Series is one named line of a figure.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Figure is a titled set of series sharing an x-axis meaning.
-type Figure struct {
-	Title  string
-	XLabel string
-	YLabel string
-	Series []*Series
-}
-
-// NewFigure creates a figure.
-func NewFigure(title, xlabel, ylabel string) *Figure {
-	return &Figure{Title: title, XLabel: xlabel, YLabel: ylabel}
-}
-
-// AddSeries registers and returns a new series.
-func (f *Figure) AddSeries(name string) *Series {
-	s := &Series{Name: name}
-	f.Series = append(f.Series, s)
-	return s
-}
-
-// Table converts the figure into a table (x column plus one column per
-// series), assuming all series share x values in order.
-func (f *Figure) Table() *Table {
-	cols := []string{f.XLabel}
-	for _, s := range f.Series {
-		cols = append(cols, s.Name)
-	}
-	t := NewTable(fmt.Sprintf("%s (%s)", f.Title, f.YLabel), cols...)
-	if len(f.Series) == 0 {
-		return t
-	}
-	for i := range f.Series[0].X {
-		row := []string{fmt.Sprintf("%g", f.Series[0].X[i])}
-		for _, s := range f.Series {
-			if i < len(s.Y) {
-				row = append(row, fmt.Sprintf("%.4g", s.Y[i]))
-			} else {
-				row = append(row, "")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
 }

@@ -36,14 +36,6 @@ func TestAddRowPads(t *testing.T) {
 	}
 }
 
-func TestAddFloats(t *testing.T) {
-	tb := NewTable("", "label", "x", "y")
-	tb.AddFloats("row", "%.2f", 1.234, 5.678)
-	if tb.Rows[0][1] != "1.23" || tb.Rows[0][2] != "5.68" {
-		t.Fatalf("AddFloats = %v", tb.Rows[0])
-	}
-}
-
 func TestCSV(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRow("x,y", "2")
@@ -102,46 +94,5 @@ func TestCSVRFC4180RoundTrip(t *testing.T) {
 	}
 	if strings.Contains(out, `"plain"`) {
 		t.Error("plain cell needlessly quoted")
-	}
-}
-
-func TestFigureToTable(t *testing.T) {
-	f := NewFigure("F", "batch", "latency")
-	a := f.AddSeries("gpu")
-	b := f.AddSeries("fpga")
-	a.Add(1, 10)
-	a.Add(2, 20)
-	b.Add(1, 30)
-	b.Add(2, 40)
-	tb := f.Table()
-	if len(tb.Columns) != 3 {
-		t.Fatalf("columns = %v", tb.Columns)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	if tb.Rows[1][2] != "40" {
-		t.Fatalf("cell = %q", tb.Rows[1][2])
-	}
-}
-
-func TestEmptyFigureTable(t *testing.T) {
-	f := NewFigure("F", "x", "y")
-	tb := f.Table()
-	if len(tb.Rows) != 0 {
-		t.Fatal("empty figure should give empty table")
-	}
-}
-
-func TestSeriesRaggedLengths(t *testing.T) {
-	f := NewFigure("F", "x", "y")
-	a := f.AddSeries("a")
-	b := f.AddSeries("b")
-	a.Add(1, 10)
-	a.Add(2, 20)
-	b.Add(1, 30) // shorter
-	tb := f.Table()
-	if tb.Rows[1][2] != "" {
-		t.Fatalf("missing point should render empty, got %q", tb.Rows[1][2])
 	}
 }

@@ -1,8 +1,8 @@
 // Package models holds two kinds of network descriptions used by the
 // In-situ AI reproduction:
 //
-//   - Full-size layer descriptors (AlexNet, VGGNet, GoogLeNet-class) in the
-//     paper's N/M/K/R/C notation. These feed the analytical device models
+//   - Full-size layer descriptors (AlexNet, VGGNet) in the paper's
+//     N/M/K/R/C notation. These feed the analytical device models
 //     (gpusim, fpgasim) exactly as the paper's equations consume them; the
 //     networks are never executed at this size.
 //   - Small trainable CNNs (TinyAlex, TinyVGG, TinyGoogLe) built on
@@ -114,41 +114,4 @@ func (n NetSpec) TotalOps() int64 {
 		s += l.Ops()
 	}
 	return s
-}
-
-// TotalWeightBytes returns the full weight footprint in bytes.
-func (n NetSpec) TotalWeightBytes() int64 {
-	var s int64
-	for _, l := range n.Layers {
-		s += l.WeightBytes()
-	}
-	return s
-}
-
-// Layer returns the layer with the given name.
-func (n NetSpec) Layer(name string) (LayerSpec, bool) {
-	for _, l := range n.Layers {
-		if l.Name == name {
-			return l, true
-		}
-	}
-	return LayerSpec{}, false
-}
-
-// Validate checks internal consistency: positive dimensions and, for
-// consecutive CONV layers, that channel counts chain when no pooling
-// metadata intervenes. It returns the first problem found.
-func (n NetSpec) Validate() error {
-	if len(n.Layers) == 0 {
-		return fmt.Errorf("models: net %q has no layers", n.Name)
-	}
-	for _, l := range n.Layers {
-		if l.N <= 0 || l.M <= 0 || l.K <= 0 || l.R <= 0 || l.C <= 0 {
-			return fmt.Errorf("models: net %q layer %q has non-positive dimension: %+v", n.Name, l.Name, l)
-		}
-		if l.Kind == FC && (l.K != 1 || l.R != 1 || l.C != 1) {
-			return fmt.Errorf("models: net %q FC layer %q must have K=R=C=1", n.Name, l.Name)
-		}
-	}
-	return nil
 }

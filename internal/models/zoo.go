@@ -46,34 +46,6 @@ func VGGNet() NetSpec {
 	}
 }
 
-// GoogLeNet returns a flattened approximation of GoogLeNet/Inception-v1:
-// each inception module's parallel branches are folded into equivalent
-// sequential CONV layers with matching op and weight counts. The paper
-// only uses GoogLeNet as an accuracy point (Table I); the analytical
-// device models just need representative op/byte totals (~3.0 GOPs for
-// 2 ops/MAC counting).
-func GoogLeNet() NetSpec {
-	return NetSpec{
-		Name: "GoogLeNet",
-		Layers: []LayerSpec{
-			{Name: "conv1", Kind: Conv, N: 3, M: 64, K: 7, R: 112, C: 112},
-			{Name: "conv2_reduce", Kind: Conv, N: 64, M: 64, K: 1, R: 56, C: 56},
-			{Name: "conv2", Kind: Conv, N: 64, M: 192, K: 3, R: 56, C: 56},
-			// inception 3a/3b folded
-			{Name: "inc3_1x1", Kind: Conv, N: 192, M: 256, K: 1, R: 28, C: 28},
-			{Name: "inc3_3x3", Kind: Conv, N: 128, M: 320, K: 3, R: 28, C: 28},
-			// inception 4a-4e folded
-			{Name: "inc4_1x1", Kind: Conv, N: 480, M: 512, K: 1, R: 14, C: 14},
-			{Name: "inc4_3x3", Kind: Conv, N: 160, M: 640, K: 3, R: 14, C: 14},
-			{Name: "inc4_5x5", Kind: Conv, N: 48, M: 256, K: 5, R: 14, C: 14},
-			// inception 5a/5b folded
-			{Name: "inc5_1x1", Kind: Conv, N: 832, M: 512, K: 1, R: 7, C: 7},
-			{Name: "inc5_3x3", Kind: Conv, N: 192, M: 768, K: 3, R: 7, C: 7},
-			FCSpec("fc", 1024, 1000),
-		},
-	}
-}
-
 // DiagnosisSpec derives the per-patch diagnosis (jigsaw) network from an
 // inference network, as in the paper's Fig. 4 and Fig. 18: the diagnosis
 // task runs the same CONV stack on each of the 9 patches, whose feature
@@ -105,13 +77,4 @@ func DiagnosisSpec(base NetSpec, permClasses int) NetSpec {
 		FCSpec("fc_perm", 512*9, permClasses),
 	)
 	return out
-}
-
-// Zoo returns all full-size descriptors keyed by name.
-func Zoo() map[string]NetSpec {
-	return map[string]NetSpec{
-		"AlexNet":   AlexNet(),
-		"VGGNet":    VGGNet(),
-		"GoogLeNet": GoogLeNet(),
-	}
 }

@@ -70,11 +70,6 @@ type Meter struct {
 // NewMeter returns a meter over the given link.
 func NewMeter(link Uplink) *Meter { return &Meter{Link: link} }
 
-// Upload records moving n bytes (one logical item) over the link.
-func (m *Meter) Upload(n int64) {
-	m.UploadItems(n, 1)
-}
-
 // UploadItems records moving n bytes representing `items` samples.
 func (m *Meter) UploadItems(n, items int64) {
 	if n < 0 {
@@ -106,11 +101,4 @@ func (m *Meter) Download(n int64) {
 	m.DownlinkBytes += n
 	m.DownlinkSecs += m.Link.TransferTime(n)
 	m.DownlinkJoules += m.Link.TransferEnergy(n)
-}
-
-// Reset clears the meter's accumulators (the link is kept).
-func (m *Meter) Reset() {
-	m.Bytes, m.Items, m.Seconds, m.Joules = 0, 0, 0, 0
-	m.Retransmits, m.RetransmitBytes, m.RetransmitSecs, m.RetransmitJoules = 0, 0, 0, 0
-	m.Downloads, m.DownlinkBytes, m.DownlinkSecs, m.DownlinkJoules = 0, 0, 0, 0
 }

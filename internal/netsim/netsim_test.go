@@ -28,7 +28,7 @@ func TestStandardLinks(t *testing.T) {
 
 func TestMeterAccumulates(t *testing.T) {
 	m := NewMeter(WiFi())
-	m.Upload(1000)
+	m.UploadItems(1000, 1)
 	m.UploadItems(4000, 3)
 	if m.Bytes != 5000 {
 		t.Fatalf("Bytes = %d", m.Bytes)
@@ -39,13 +39,6 @@ func TestMeterAccumulates(t *testing.T) {
 	if m.Joules <= 0 || m.Seconds <= 0 {
 		t.Fatal("no energy/time accumulated")
 	}
-	m.Reset()
-	if m.Bytes != 0 || m.Items != 0 || m.Seconds != 0 || m.Joules != 0 {
-		t.Fatal("Reset incomplete")
-	}
-	if m.Link.Name != "WiFi" {
-		t.Fatal("Reset dropped the link")
-	}
 }
 
 func TestMeterRejectsNegative(t *testing.T) {
@@ -55,7 +48,7 @@ func TestMeterRejectsNegative(t *testing.T) {
 			t.Fatal("negative upload accepted")
 		}
 	}()
-	m.Upload(-1)
+	m.UploadItems(-1, 1)
 }
 
 // Property: meters are additive — uploading in two parts equals one
@@ -63,10 +56,10 @@ func TestMeterRejectsNegative(t *testing.T) {
 func TestQuickMeterAdditive(t *testing.T) {
 	f := func(a, b uint32) bool {
 		m1 := NewMeter(WiFi())
-		m1.Upload(int64(a))
-		m1.Upload(int64(b))
+		m1.UploadItems(int64(a), 1)
+		m1.UploadItems(int64(b), 1)
 		m2 := NewMeter(WiFi())
-		m2.Upload(int64(a) + int64(b))
+		m2.UploadItems(int64(a)+int64(b), 1)
 		return m1.Bytes == m2.Bytes &&
 			math.Abs(m1.Joules-m2.Joules) < 1e-9 &&
 			math.Abs(m1.Seconds-m2.Seconds) < 1e-9

@@ -80,9 +80,6 @@ func NewProxy(ln net.Listener, target string, cfg ProxyConfig) *Proxy {
 	return p
 }
 
-// Addr returns the proxy's listen address (what nodes dial).
-func (p *Proxy) Addr() net.Addr { return p.ln.Addr() }
-
 // Stats returns a snapshot of the interference counters.
 func (p *Proxy) Stats() ProxyStats {
 	return ProxyStats{

@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +10,16 @@ import (
 	"insitu/internal/netsim"
 	"insitu/internal/wire"
 )
+
+// writeFrame encodes one frame and writes it to w.
+func writeFrame(w io.Writer, version uint8, t wire.MsgType, payload []byte) error {
+	frame, err := wire.EncodeFrame(version, t, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
 
 // echoBackend accepts one connection and echoes every intact frame
 // back; CRC-failed frames are skipped like a real endpoint would.
@@ -32,7 +43,7 @@ func echoBackend(t *testing.T) net.Listener {
 				}
 				return
 			}
-			if err := wire.WriteFrame(conn, v, mt, payload); err != nil {
+			if err := writeFrame(conn, v, mt, payload); err != nil {
 				return
 			}
 		}
@@ -40,7 +51,8 @@ func echoBackend(t *testing.T) net.Listener {
 	return ln
 }
 
-func startProxy(t *testing.T, target string, cfg netsim.ProxyConfig) *netsim.Proxy {
+// startProxy returns a proxy to target and the address it listens on.
+func startProxy(t *testing.T, target string, cfg netsim.ProxyConfig) (*netsim.Proxy, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -48,22 +60,22 @@ func startProxy(t *testing.T, target string, cfg netsim.ProxyConfig) *netsim.Pro
 	}
 	p := netsim.NewProxy(ln, target, cfg)
 	t.Cleanup(p.Close)
-	return p
+	return p, ln.Addr().String()
 }
 
 func TestProxyForwardsCleanFrames(t *testing.T) {
 	backend := echoBackend(t)
 	defer backend.Close()
-	p := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 1})
+	p, addr := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 1})
 
-	conn, err := net.Dial("tcp", p.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial proxy: %v", err)
 	}
 	defer conn.Close()
 	for i := 0; i < 10; i++ {
 		payload := []byte{byte(i), 0xAB, 0xCD}
-		if err := wire.WriteFrame(conn, wire.ProtoMax, wire.MsgCapture, payload); err != nil {
+		if err := writeFrame(conn, wire.ProtoMax, wire.MsgCapture, payload); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		_, mt, got, err := wire.ReadFrame(conn)
@@ -86,14 +98,14 @@ func TestProxyCorruptionIsCaughtByCRC(t *testing.T) {
 	defer backend.Close()
 	// Corrupt everything: the echo backend should never see an intact
 	// frame, so nothing comes back; every receipt fails its CRC.
-	p := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 2, CorruptProb: 1})
+	p, addr := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 2, CorruptProb: 1})
 
-	conn, err := net.Dial("tcp", p.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial proxy: %v", err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.ProtoMax, wire.MsgCapture, []byte("payload")); err != nil {
+	if err := writeFrame(conn, wire.ProtoMax, wire.MsgCapture, []byte("payload")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
@@ -110,14 +122,14 @@ func TestProxyCorruptionIsCaughtByCRC(t *testing.T) {
 func TestProxyDropsFrames(t *testing.T) {
 	backend := echoBackend(t)
 	defer backend.Close()
-	p := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 3, DropProb: 1})
+	p, addr := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 3, DropProb: 1})
 
-	conn, err := net.Dial("tcp", p.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial proxy: %v", err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.ProtoMax, wire.MsgDeploy, []byte("gone")); err != nil {
+	if err := writeFrame(conn, wire.ProtoMax, wire.MsgDeploy, []byte("gone")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
@@ -132,9 +144,9 @@ func TestProxyDropsFrames(t *testing.T) {
 func TestProxyEmptyPayloadCorruptionStaysFramed(t *testing.T) {
 	backend := echoBackend(t)
 	defer backend.Close()
-	p := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 4, CorruptProb: 1})
+	_, addr := startProxy(t, backend.Addr().String(), netsim.ProxyConfig{Seed: 4, CorruptProb: 1})
 
-	conn, err := net.Dial("tcp", p.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial proxy: %v", err)
 	}
@@ -142,7 +154,7 @@ func TestProxyEmptyPayloadCorruptionStaysFramed(t *testing.T) {
 	// Empty payload: corruption must hit the CRC, not the framing
 	// fields, so the backend survives (skips the frame) rather than
 	// desynchronizing.
-	if err := wire.WriteFrame(conn, wire.ProtoMax, wire.MsgBye, nil); err != nil {
+	if err := writeFrame(conn, wire.ProtoMax, wire.MsgBye, nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))

@@ -79,12 +79,12 @@ func TestDenseBackwardZeroAllocWithTelemetry(t *testing.T) {
 // the old per-sample gradient-tensor behaviour.
 func TestConvTrainStepAllocsBounded(t *testing.T) {
 	net, x, labels := benchConvNet()
-	net.ZeroGrad()
+	zeroGrads(net)
 	net.TrainStep(x, labels)
-	net.ZeroGrad()
+	zeroGrads(net)
 	net.TrainStep(x, labels)
 	allocs := testing.AllocsPerRun(10, func() {
-		net.ZeroGrad()
+		zeroGrads(net)
 		net.TrainStep(x, labels)
 	})
 	// The naive implementation allocated 322 objects (1.4 MB) per step

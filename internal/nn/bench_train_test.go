@@ -51,7 +51,7 @@ func BenchmarkConvTrainStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
+		zeroGrads(net)
 		net.TrainStep(x, labels)
 	}
 }
@@ -62,7 +62,7 @@ func BenchmarkDenseTrainStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
+		zeroGrads(net)
 		net.TrainStep(x, labels)
 	}
 }

@@ -29,7 +29,7 @@ func checkGrads(t *testing.T, net *Network, x *tensor.Tensor, labels []int, tol 
 		l, _ := CrossEntropy{}.LossAndGrad(logits, labels)
 		return l
 	}
-	net.ZeroGrad()
+	zeroGrads(net)
 	net.TrainStep(x, labels)
 	for _, p := range net.Params() {
 		if p.Grad == nil {

@@ -106,22 +106,3 @@ func Argmax(logits *tensor.Tensor) []int {
 	}
 	return out
 }
-
-// TopProb returns, for each row of logits, the softmax probability of the
-// most likely class. The diagnosis task uses this as its confidence signal.
-func TopProb(logits *tensor.Tensor) []float64 {
-	probs := Softmax(logits)
-	b, c := probs.Dim(0), probs.Dim(1)
-	out := make([]float64, b)
-	for i := 0; i < b; i++ {
-		row := probs.Data[i*c : (i+1)*c]
-		best := row[0]
-		for _, v := range row[1:] {
-			if v > best {
-				best = v
-			}
-		}
-		out[i] = float64(best)
-	}
-	return out
-}

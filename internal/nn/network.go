@@ -49,19 +49,12 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears all parameter gradients.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // TrainStep runs one forward/backward pass on a batch and returns the mean
 // loss and batch accuracy. Parameter gradients are left accumulated for
 // the optimizer.
 //
 // Backward stops at the lowest layer that has a trainable parameter
-// (non-frozen, with a gradient): that layer accumulates its parameter
+// (non-frozen): that layer accumulates its parameter
 // gradients but computes no input gradient, and the layers below it get
 // no Backward call. With every parameter frozen there is no backward
 // pass. This is what makes a locked CONV prefix cost no backward work,
@@ -116,7 +109,7 @@ type paramGrader interface {
 func (n *Network) stopLayer() int {
 	for i, l := range n.Layers {
 		for _, p := range l.Params() {
-			if !p.Frozen && p.Grad != nil {
+			if !p.Frozen {
 				return i
 			}
 		}
@@ -169,17 +162,6 @@ func (n *Network) setFrozen(frozen bool, prefixes []string) int {
 	return count
 }
 
-// FrozenParamCount reports the number of frozen parameters.
-func (n *Network) FrozenParamCount() int {
-	c := 0
-	for _, p := range n.Params() {
-		if p.Frozen {
-			c++
-		}
-	}
-	return c
-}
-
 // CopyWeightsFrom copies parameter values from src into n for every layer
 // whose name has one of the given prefixes (all layers if none given).
 // Source and destination must agree on layer names and shapes for the
@@ -215,18 +197,6 @@ func (n *Network) CopyWeightsFrom(src *Network, prefixes ...string) (copied int,
 	}
 	return copied, nil
 }
-
-// ParamCount returns the total number of scalar weights in the network.
-func (n *Network) ParamCount() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += p.Value.Size()
-	}
-	return total
-}
-
-// ParamBytes returns the serialized weight footprint assuming float32.
-func (n *Network) ParamBytes() int64 { return int64(n.ParamCount()) * 4 }
 
 // String summarizes the architecture.
 func (n *Network) String() string {

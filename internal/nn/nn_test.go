@@ -138,25 +138,6 @@ func TestAccuracyAndArgmax(t *testing.T) {
 	}
 }
 
-func TestTopProbIsMaxOfSoftmax(t *testing.T) {
-	r := tensor.NewRNG(30)
-	x := tensor.New(4, 6)
-	x.FillNormal(r, 0, 2)
-	top := TopProb(x)
-	p := Softmax(x)
-	for i := 0; i < 4; i++ {
-		var best float64
-		for j := 0; j < 6; j++ {
-			if v := float64(p.At(i, j)); v > best {
-				best = v
-			}
-		}
-		if math.Abs(top[i]-best) > 1e-6 {
-			t.Fatalf("TopProb[%d] = %v, want %v", i, top[i], best)
-		}
-	}
-}
-
 func TestSGDStepMovesAgainstGradient(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice([]float32{1, 2}, 2))
 	p.Grad.Data[0] = 0.5
@@ -211,14 +192,31 @@ func TestNetworkFreezeByPrefix(t *testing.T) {
 	if n := net.FreezeLayers("conv1", "conv2"); n != 4 {
 		t.Fatalf("froze %d params, want 4 (2 layers × W,b)", n)
 	}
-	if got := net.FrozenParamCount(); got != 4 {
-		t.Fatalf("FrozenParamCount = %d", got)
+	if got := frozenParams(net); got != 4 {
+		t.Fatalf("frozen params = %d", got)
 	}
 	if n := net.UnfreezeLayers("conv1"); n != 2 {
 		t.Fatalf("unfroze %d, want 2", n)
 	}
-	if got := net.FrozenParamCount(); got != 2 {
-		t.Fatalf("after unfreeze FrozenParamCount = %d", got)
+	if got := frozenParams(net); got != 2 {
+		t.Fatalf("after unfreeze frozen params = %d", got)
+	}
+}
+
+func frozenParams(n *Network) int {
+	c := 0
+	for _, p := range n.Params() {
+		if p.Frozen {
+			c++
+		}
+	}
+	return c
+}
+
+// zeroGrads clears every parameter gradient of n.
+func zeroGrads(n *Network) {
+	for _, p := range n.Params() {
+		p.ZeroGrad()
 	}
 }
 
@@ -382,17 +380,6 @@ func TestLoadWeightsRejectsWrongArch(t *testing.T) {
 	}
 	if err := b.LoadWeights(&buf); err == nil {
 		t.Fatal("expected shape mismatch error")
-	}
-}
-
-func TestParamCountAndBytes(t *testing.T) {
-	r := tensor.NewRNG(62)
-	net := NewNetwork("pc", NewDense("fc", 10, 5, r))
-	if got := net.ParamCount(); got != 10*5+5 {
-		t.Fatalf("ParamCount = %d, want 55", got)
-	}
-	if got := net.ParamBytes(); got != 55*4 {
-		t.Fatalf("ParamBytes = %d, want 220", got)
 	}
 }
 

@@ -29,13 +29,8 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 	}
 }
 
-// ZeroGrad clears the accumulated gradient. Persistent-state params
-// (nil gradient) have nothing to clear.
-func (p *Param) ZeroGrad() {
-	if p.Grad != nil {
-		p.Grad.Zero()
-	}
-}
+// ZeroGrad clears the accumulated gradient.
+func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // CopyValueFrom copies the value tensor of src into p. Shapes must match.
 func (p *Param) CopyValueFrom(src *Param) {

@@ -23,7 +23,10 @@ func randomNet(seed uint64) *Network {
 	}
 	out := layers[0].(*Conv2D).Geom.OutChannels
 	if r.Intn(2) == 0 {
-		layers = append(layers, NewBatchNorm2D("bn1", out))
+		layers = append(layers, NewConv2D("conv2", tensor.Conv2DGeom{
+			InChannels: out, InHeight: size, InWidth: size,
+			KernelSize: 3, Stride: 1, Padding: 1, OutChannels: out,
+		}, r))
 	}
 	layers = append(layers, NewFlatten("flat"),
 		NewDense("fc", out*size*size, 2+r.Intn(5), r))
@@ -71,9 +74,6 @@ func TestQuickSerializationBehaviour(t *testing.T) {
 		b := randomNet(uint64(seed))
 		rr := tensor.NewRNG(uint64(seed) * 31)
 		for _, p := range a.Params() {
-			if p.Grad == nil {
-				continue // keep BN running variances valid (non-negative)
-			}
 			p.Value.FillNormal(rr, 0, 0.5)
 		}
 		var buf bytes.Buffer

@@ -27,7 +27,7 @@ func NewSGD(lr, momentum, weightDecay float32) *SGD {
 // cleared), implementing the paper's locked CONV layers.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
-		if p.Frozen || p.Grad == nil {
+		if p.Frozen {
 			p.ZeroGrad()
 			continue
 		}

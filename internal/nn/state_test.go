@@ -22,7 +22,7 @@ func trainSteps(net *Network, opt *SGD, seed uint64, steps int) {
 	r := tensor.NewRNG(seed)
 	for s := 0; s < steps; s++ {
 		x := tensor.New(4, 8)
-		x.FillUniform(r, -1, 1)
+		x.FillNormal(r, 0, 0.5)
 		labels := make([]int, 4)
 		for i := range labels {
 			labels[i] = r.Intn(3)
@@ -74,14 +74,14 @@ func TestOptimizerAndLayerStateRoundTrip(t *testing.T) {
 	r := tensor.NewRNG(2)
 	for s := 0; s < 4; s++ {
 		x := tensor.New(4, 8)
-		x.FillUniform(r, -1, 1)
+		x.FillNormal(r, 0, 0.5)
 		for i := 0; i < 4; i++ {
 			r.Intn(3)
 		}
 	}
 	for s := 0; s < 4; s++ {
 		x := tensor.New(4, 8)
-		x.FillUniform(r, -1, 1)
+		x.FillNormal(r, 0, 0.5)
 		labels := make([]int, 4)
 		for i := range labels {
 			labels[i] = r.Intn(3)

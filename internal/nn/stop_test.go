@@ -108,8 +108,9 @@ func TestTrainStepStopsAtLowestTrainable(t *testing.T) {
 				for i := range labels {
 					labels[i] = rng.Intn(5)
 				}
-				ref.ZeroGrad()
-				spied.ZeroGrad()
+				for _, p := range append(ref.Params(), spied.Params()...) {
+					p.ZeroGrad()
+				}
 				for _, s := range spies {
 					s.backward = 0
 				}

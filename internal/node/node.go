@@ -58,14 +58,6 @@ type Report struct {
 	EnergyJ float64
 }
 
-// MissRate returns the fraction of frames that missed the deadline.
-func (r Report) MissRate() float64 {
-	if r.Frames == 0 {
-		return 0
-	}
-	return float64(r.DeadlineMisses) / float64(r.Frames)
-}
-
 // ArrivalAwareBatch returns the largest batch whose fill time plus batch
 // latency fits the requirement: max B with B/rate + latency(B) ≤ req.
 // Returns at least 1.

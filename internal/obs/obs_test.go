@@ -54,7 +54,7 @@ func TestStartEnablesInstrumentationAndTrace(t *testing.T) {
 	// Instrumented packages are live: a matmul moves the kernel counters.
 	a := tensor.New(8, 8)
 	b := tensor.New(8, 8)
-	tensor.MatMul(a, b)
+	tensor.MatMulInto(tensor.New(8, 8), a, b)
 	snap := s.Registry.Snapshot()
 	if snap.Counters["tensor_gemm_small_calls_total"] == 0 &&
 		snap.Counters["tensor_gemm_calls_total"] == 0 {

@@ -76,8 +76,7 @@ type Stats struct {
 }
 
 // ApplyToNetwork quantizes every learnable parameter of net in place
-// (persistent nil-gradient state like batch-norm running stats is left
-// exact) and returns the error statistics. The network afterwards
+// and returns the error statistics. The network afterwards
 // behaves as its FPGA deployment would.
 func ApplyToNetwork(net *nn.Network, f Format) (Stats, error) {
 	if err := f.Validate(); err != nil {
@@ -87,9 +86,6 @@ func ApplyToNetwork(net *nn.Network, f Format) (Stats, error) {
 	var errSum float64
 	maxAbs := f.Max()
 	for _, p := range net.Params() {
-		if p.Grad == nil {
-			continue
-		}
 		for i, v := range p.Value.Data {
 			st.Params++
 			if float64(v) > maxAbs || float64(v) < -maxAbs {

@@ -88,8 +88,12 @@ func TestApplyToNetworkStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Params != net.ParamCount() {
-		t.Fatalf("quantized %d of %d params", st.Params, net.ParamCount())
+	total := 0
+	for _, p := range net.Params() {
+		total += p.Value.Size()
+	}
+	if st.Params != total {
+		t.Fatalf("quantized %d of %d params", st.Params, total)
 	}
 	// He-initialized weights are small: no saturation in Q3.12.
 	if st.Saturated != 0 {

@@ -175,6 +175,16 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
+// snapshot copies the histogram's state out.
+func (h *Histogram) snapshot() HistogramSnapshot {
+	return HistogramSnapshot{
+		Count:   h.Count(),
+		Sum:     h.Sum(),
+		Bounds:  h.Bounds(),
+		Buckets: h.BucketCounts(),
+	}
+}
+
 // restore overwrites the histogram's state from a snapshot; only
 // Registry.LoadSnapshot uses it. A snapshot whose bucket layout does
 // not match the live histogram is ignored.
@@ -366,12 +376,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.histograms {
-		s.Histograms[name] = HistogramSnapshot{
-			Count:   h.Count(),
-			Sum:     h.Sum(),
-			Bounds:  h.Bounds(),
-			Buckets: h.BucketCounts(),
-		}
+		s.Histograms[name] = h.snapshot()
 	}
 	if len(r.windows) > 0 {
 		s.Windows = make(map[string]HistogramSnapshot, len(r.windows))

@@ -23,8 +23,8 @@ type Window struct {
 	slotNs int64
 	slots  []windowSlot
 
-	// now returns monotonic nanoseconds; replaced by SetNowFunc in
-	// tests to drive rotation deterministically.
+	// now returns monotonic nanoseconds; tests replace it (and reset
+	// start) to drive rotation deterministically.
 	now func() int64
 
 	mu    sync.Mutex   // serializes rotation only
@@ -80,18 +80,6 @@ func NewWindow(bounds []float64, span time.Duration, slots int) *Window {
 	}
 	w.start.Store(w.now())
 	return w
-}
-
-// SetNowFunc replaces the window's clock (monotonic nanoseconds). Test
-// hook: production code never calls it.
-func (w *Window) SetNowFunc(now func() int64) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.now = now
-	w.start.Store(now())
 }
 
 // Observe records one sample into the current slot. No-op on nil.
@@ -171,14 +159,6 @@ func (w *Window) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// Count returns the number of observations currently inside the window.
-func (w *Window) Count() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.Snapshot().Count
-}
-
 // Quantile estimates the q-quantile of the windowed observations; see
 // HistogramSnapshot.Quantile for the interpolation rules.
 func (w *Window) Quantile(q float64) float64 {
@@ -251,19 +231,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return lower + (upper-lower)*frac
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Quantile estimates the q-quantile of everything the histogram has
-// observed. Concurrent Observes may skew the estimate by a sample or
-// two; the result is still clamped inside the landing bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return HistogramSnapshot{
-		Count:   h.Count(),
-		Sum:     h.Sum(),
-		Bounds:  h.Bounds(),
-		Buckets: h.BucketCounts(),
-	}.Quantile(q)
 }

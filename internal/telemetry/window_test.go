@@ -19,7 +19,8 @@ func (c *fakeClock) advance(d int64) { c.ns.Add(d) }
 func newTestWindow(bounds []float64, span time.Duration, slots int) (*Window, *fakeClock) {
 	w := NewWindow(bounds, span, slots)
 	c := &fakeClock{}
-	w.SetNowFunc(c.now)
+	w.now = c.now
+	w.start.Store(c.now())
 	return w, c
 }
 
@@ -30,18 +31,18 @@ func TestWindowRotationAgesOutSamples(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		w.Observe(0.5)
 	}
-	if got := w.Count(); got != 8 {
+	if got := w.Snapshot().Count; got != 8 {
 		t.Fatalf("count = %d, want 8", got)
 	}
 	// Advance one slot: samples remain (they live in an older slot).
 	clock.advance(int64(time.Second))
 	w.Observe(5)
-	if got := w.Count(); got != 9 {
+	if got := w.Snapshot().Count; got != 9 {
 		t.Fatalf("after 1 slot: count = %d, want 9", got)
 	}
 	// Advance past the whole span: everything ages out.
 	clock.advance(int64(5 * time.Second))
-	if got := w.Count(); got != 0 {
+	if got := w.Snapshot().Count; got != 0 {
 		t.Fatalf("after full span: count = %d, want 0", got)
 	}
 	if q := w.Quantile(0.99); q != 0 {
@@ -49,7 +50,7 @@ func TestWindowRotationAgesOutSamples(t *testing.T) {
 	}
 	// And the window keeps working after a full reset.
 	w.Observe(0.5)
-	if got := w.Count(); got != 1 {
+	if got := w.Snapshot().Count; got != 1 {
 		t.Fatalf("post-reset count = %d, want 1", got)
 	}
 }
@@ -62,13 +63,13 @@ func TestWindowPartialRotation(t *testing.T) {
 	w.Observe(0.1) // slot 1
 	clock.advance(int64(time.Second))
 	w.Observe(0.1) // slot 2
-	if got := w.Count(); got != 3 {
+	if got := w.Snapshot().Count; got != 3 {
 		t.Fatalf("count = %d, want 3", got)
 	}
 	// Two more slots: slot 0's sample (and the empty slot 3) age out,
 	// slots 1-2 survive.
 	clock.advance(int64(2 * time.Second))
-	if got := w.Count(); got != 2 {
+	if got := w.Snapshot().Count; got != 2 {
 		t.Fatalf("after partial rotation: count = %d, want 2", got)
 	}
 }
@@ -149,7 +150,7 @@ func TestWindowConcurrentObserveAndMerge(t *testing.T) {
 	// The clock advanced < 1 slot duration per rotation check in total?
 	// Not guaranteed — but it cannot exceed the full span within this
 	// test's runtime budget, so nothing has aged out.
-	if got := w.Count(); got != writers*perWriter {
+	if got := w.Snapshot().Count; got != writers*perWriter {
 		t.Fatalf("count = %d, want %d (nothing should age out of a 1-min window)", got, writers*perWriter)
 	}
 }
@@ -173,7 +174,7 @@ func TestQuantileMonotonicityProperty(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.01 {
-			cur := h.Quantile(q)
+			cur := h.snapshot().Quantile(q)
 			if cur < prev {
 				t.Fatalf("trial %d: Quantile(%g)=%g < Quantile(prev)=%g", trial, q, cur, prev)
 			}
@@ -191,20 +192,16 @@ func TestQuantileInterpolation(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i % 30)) // roughly uniform over (0,30]
 	}
-	p50 := h.Quantile(0.5)
+	p50 := h.snapshot().Quantile(0.5)
 	if p50 < 10 || p50 > 20 {
 		t.Errorf("p50 = %g, want within (10,20)", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := h.snapshot().Quantile(0.99)
 	if p99 < 20 || p99 > 30 {
 		t.Errorf("p99 = %g, want within (20,30]", p99)
 	}
-	if h.Quantile(0) > h.Quantile(1) {
+	if h.snapshot().Quantile(0) > h.snapshot().Quantile(1) {
 		t.Error("q=0 above q=1")
-	}
-	var empty *Histogram
-	if empty.Quantile(0.5) != 0 {
-		t.Error("nil histogram quantile != 0")
 	}
 }
 
@@ -246,7 +243,7 @@ func TestRegistryWindowExposition(t *testing.T) {
 	}
 	var nilWin *Window
 	nilWin.Observe(1) // must not panic
-	if nilWin.Count() != 0 || nilWin.Quantile(0.5) != 0 {
+	if nilWin.Snapshot().Count != 0 || nilWin.Quantile(0.5) != 0 {
 		t.Fatal("nil window reported data")
 	}
 }
@@ -288,10 +285,10 @@ func TestSnapshotRestorePreservesPercentiles(t *testing.T) {
 			t.Fatalf("restored buckets = %v, want %v", gotBuckets, wantBuckets)
 		}
 	}
-	if q, want := h2.Quantile(0.5), h.Quantile(0.5); q != want {
+	if q, want := h2.snapshot().Quantile(0.5), h.snapshot().Quantile(0.5); q != want {
 		t.Errorf("restored p50 = %g, want %g", q, want)
 	}
-	if got := r2.Window("win_s", nil, 0, 0).Count(); got != 2 {
+	if got := r2.Window("win_s", nil, 0, 0).Snapshot().Count; got != 2 {
 		t.Errorf("restored window count = %d, want 2", got)
 	}
 	// Restoring into a fresh registry without the window pre-registered

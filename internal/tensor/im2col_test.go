@@ -85,7 +85,7 @@ func TestConvViaIm2ColMatchesDirect(t *testing.T) {
 	cols := New(g.ColRows(), g.ColCols())
 	Im2Col(in, g, cols)
 	fm := w.Reshape(g.OutChannels, g.ColRows())
-	out := MatMul(fm, cols) // M × RC
+	out := matMul(fm, cols) // M × RC
 
 	outH, outW := g.OutHeight(), g.OutWidth()
 	for m := 0; m < g.OutChannels; m++ {
@@ -188,7 +188,11 @@ func TestFillHeStatistics(t *testing.T) {
 	r := NewRNG(11)
 	x := New(10000)
 	x.FillHe(r, 50)
-	mean := x.Sum() / float64(x.Size())
+	var sum float64
+	for _, v := range x.Data {
+		sum += float64(v)
+	}
+	mean := sum / float64(x.Size())
 	if math.Abs(mean) > 0.02 {
 		t.Fatalf("He init mean = %v, want ~0", mean)
 	}

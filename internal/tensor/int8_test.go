@@ -39,7 +39,7 @@ func TestGemmInt8MatchesReferenceAllKernels(t *testing.T) {
 		{1, 1, 32}, {3, 5, 32}, {7, 9, 64}, {16, 24, 224}, {64, 10, 96},
 	}
 	for _, name := range KernelNames() {
-		if err := SelectKernel(name); err != nil {
+		if err := selectKernel(name); err != nil {
 			t.Fatal(err)
 		}
 		r := NewRNG(7)
@@ -77,7 +77,7 @@ func TestGemmInt8ExtremesNoSaturation(t *testing.T) {
 	}
 	want := []int32{127 * 127 * kPad, -127 * 127 * kPad}
 	for _, name := range KernelNames() {
-		if err := SelectKernel(name); err != nil {
+		if err := selectKernel(name); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]int32, 2)

@@ -32,7 +32,7 @@ type kernelImpl struct {
 	dot8   func(a []uint8, b []int8) int32
 }
 
-// The selected kernel. Written only by useKernel (init, SelectKernel);
+// The selected kernel. Written only by useKernel (init, selectKernel);
 // read by the GEMM hot path. Selection must not run concurrently with
 // tensor math.
 var (
@@ -92,11 +92,11 @@ func KernelNames() []string {
 	return names
 }
 
-// SelectKernel forces the micro-kernel by name. It exists for the
-// cross-kernel property tests and benchmark sweeps; it must not be
-// called concurrently with tensor math. Unknown or unavailable names
+// selectKernel forces the micro-kernel by name. It exists for the
+// package's cross-kernel property tests; it must not be called
+// concurrently with tensor math. Unknown or unavailable names
 // return an error and leave the selection unchanged.
-func SelectKernel(name string) error {
+func selectKernel(name string) error {
 	for _, k := range kernelTable() {
 		if k.name == name {
 			useKernel(k)

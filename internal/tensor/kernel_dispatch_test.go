@@ -10,7 +10,7 @@ import (
 func restoreDefaultKernel(t *testing.T) {
 	name := KernelName()
 	t.Cleanup(func() {
-		if err := SelectKernel(name); err != nil {
+		if err := selectKernel(name); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -42,8 +42,8 @@ func TestKernelDispatchState(t *testing.T) {
 }
 
 func TestSelectKernelUnknownName(t *testing.T) {
-	if err := SelectKernel("no-such-kernel"); err == nil {
-		t.Fatal("SelectKernel accepted an unknown name")
+	if err := selectKernel("no-such-kernel"); err == nil {
+		t.Fatal("selectKernel accepted an unknown name")
 	}
 }
 
@@ -80,12 +80,12 @@ func TestCrossKernelEquivalenceMatrix(t *testing.T) {
 	}
 	results := map[string][]*Tensor{}
 	for _, name := range KernelNames() {
-		if err := SelectKernel(name); err != nil {
+		if err := selectKernel(name); err != nil {
 			t.Fatal(err)
 		}
 		outs := make([]*Tensor, len(cases))
 		for i, tc := range cases {
-			outs[i] = MatMul(tc.a, tc.b)
+			outs[i] = matMul(tc.a, tc.b)
 			if !closeEnough(outs[i], naiveMatMul(tc.a, tc.b), 2e-3) {
 				t.Fatalf("kernel %s diverges from naive at shape %v", name, shapes[i])
 			}
@@ -109,7 +109,7 @@ func TestCrossKernelTransposeEquivalence(t *testing.T) {
 	defer restoreDefaultKernel(t)
 	r := NewRNG(101)
 	for _, name := range KernelNames() {
-		if err := SelectKernel(name); err != nil {
+		if err := selectKernel(name); err != nil {
 			t.Fatal(err)
 		}
 		for _, sh := range [][3]int{{5, 33, 65}, {65, 9, 129}, {64, 64, 64}} {
@@ -118,7 +118,7 @@ func TestCrossKernelTransposeEquivalence(t *testing.T) {
 			bt := New(n, k) // B stored transposed
 			at.FillNormal(r, 0, 1)
 			bt.FillNormal(r, 0, 1)
-			gotA := MatMulTransA(at, naiveTranspose(bt)) // Aᵀ·B
+			gotA := matMulTransA(at, naiveTranspose(bt)) // Aᵀ·B
 			wantA := naiveMatMul(naiveTranspose(at), naiveTranspose(bt))
 			if !closeEnough(gotA, wantA, 2e-3) {
 				t.Fatalf("kernel %s: MatMulTransA mismatch at %v", name, sh)
@@ -162,7 +162,7 @@ func TestConcurrentGemmHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
-				got := MatMul(a, b)
+				got := matMul(a, b)
 				if !closeEnough(got, want, 2e-3) {
 					errc <- errMismatch
 					return

@@ -52,7 +52,7 @@ func TestBlockedMatMulMatchesNaiveAllShapes(t *testing.T) {
 				b := New(k, n)
 				a.FillNormal(r, 0, 1)
 				b.FillNormal(r, 0, 1)
-				got := MatMul(a, b)
+				got := matMul(a, b)
 				want := naiveMatMul(a, b)
 				if !closeEnough(got, want, 2e-3) {
 					t.Fatalf("MatMul mismatch at m=%d k=%d n=%d", m, k, n)
@@ -71,7 +71,7 @@ func TestBlockedMatMulTransAMatchesNaiveAllShapes(t *testing.T) {
 				b := New(k, n)
 				a.FillNormal(r, 0, 1)
 				b.FillNormal(r, 0, 1)
-				got := MatMulTransA(a, b)
+				got := matMulTransA(a, b)
 				want := naiveMatMulTransA(a, b)
 				if !closeEnough(got, want, 2e-3) {
 					t.Fatalf("MatMulTransA mismatch at m=%d k=%d n=%d", m, k, n)

@@ -6,22 +6,6 @@ package tensor
 // accumulate they fuse the historical "allocate a gradient tensor, then
 // Add it" pattern into a single allocation-free call.
 
-// MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n), writing
-// into a freshly allocated m×n tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic("tensor: MatMul inner dimension mismatch")
-	}
-	n := b.shape[1]
-	c := New(m, n)
-	gemm(c.Data, a.Data, b.Data, false, false, m, n, k, false)
-	return c
-}
-
 // MatMulInto computes C = A × B into an existing tensor C, avoiding the
 // allocation. C must be m×n.
 func MatMulInto(c, a, b *Tensor) {
@@ -31,19 +15,6 @@ func MatMulInto(c, a, b *Tensor) {
 		panic("tensor: MatMulInto shape mismatch")
 	}
 	gemm(c.Data, a.Data, b.Data, false, false, m, n, k, false)
-}
-
-// MatMulTransA computes C = Aᵀ × B where A is k×m and B is k×n, yielding
-// an m×n tensor. Used for weight gradients (xᵀ·dy).
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m := a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic("tensor: MatMulTransA inner dimension mismatch")
-	}
-	n := b.shape[1]
-	c := New(m, n)
-	gemm(c.Data, a.Data, b.Data, true, false, m, n, k, false)
-	return c
 }
 
 // MatMulTransAInto computes C = Aᵀ × B into an existing m×n tensor C,

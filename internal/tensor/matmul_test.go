@@ -24,6 +24,20 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
+// matMul returns A × B in a fresh tensor.
+func matMul(a, b *Tensor) *Tensor {
+	c := New(a.Dim(0), b.Dim(1))
+	MatMulInto(c, a, b)
+	return c
+}
+
+// matMulTransA returns Aᵀ × B in a fresh tensor.
+func matMulTransA(a, b *Tensor) *Tensor {
+	c := New(a.Dim(1), b.Dim(1))
+	MatMulTransAInto(c, a, b, false)
+	return c
+}
+
 func tensorsClose(t *testing.T, got, want *Tensor, tol float64) {
 	t.Helper()
 	if !got.SameShape(want) {
@@ -39,7 +53,7 @@ func tensorsClose(t *testing.T, got, want *Tensor, tol float64) {
 func TestMatMulSmallKnown(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := FromSlice([]float32{58, 64, 139, 154}, 2, 2)
 	tensorsClose(t, c, want, 1e-6)
 }
@@ -52,8 +66,8 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Set(1, i, i)
 	}
-	tensorsClose(t, MatMul(a, id), a, 1e-6)
-	tensorsClose(t, MatMul(id, a), a, 1e-6)
+	tensorsClose(t, matMul(a, id), a, 1e-6)
+	tensorsClose(t, matMul(id, a), a, 1e-6)
 }
 
 func TestMatMulMatchesNaiveRandom(t *testing.T) {
@@ -64,7 +78,7 @@ func TestMatMulMatchesNaiveRandom(t *testing.T) {
 		b := New(k, n)
 		a.FillNormal(r, 0, 1)
 		b.FillNormal(r, 0, 1)
-		tensorsClose(t, MatMul(a, b), naiveMatMul(a, b), 1e-3)
+		tensorsClose(t, matMul(a, b), naiveMatMul(a, b), 1e-3)
 	}
 }
 
@@ -77,12 +91,12 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	c := New(8, 6)
 	c.Fill(42) // must be overwritten, not accumulated
 	MatMulInto(c, a, b)
-	tensorsClose(t, c, MatMul(a, b), 1e-6)
+	tensorsClose(t, c, naiveMatMul(a, b), 1e-4)
 }
 
 func TestMatMulTransA(t *testing.T) {
 	r := NewRNG(4)
-	// A is k×m; MatMulTransA(A,B) must equal naive(Aᵀ, B).
+	// A is k×m; matMulTransA(A,B) must equal naive(Aᵀ, B).
 	a := New(10, 7)
 	b := New(10, 5)
 	a.FillNormal(r, 0, 1)
@@ -93,7 +107,7 @@ func TestMatMulTransA(t *testing.T) {
 			at.Set(a.At(i, j), j, i)
 		}
 	}
-	tensorsClose(t, MatMulTransA(a, b), naiveMatMul(at, b), 1e-4)
+	tensorsClose(t, matMulTransA(a, b), naiveMatMul(at, b), 1e-4)
 }
 
 func TestMatMulTransB(t *testing.T) {
@@ -118,7 +132,7 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("mismatched MatMul did not panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	matMul(New(2, 3), New(4, 2))
 }
 
 // Property: (A·B)·v == A·(B·v) for random small matrices — associativity
@@ -134,8 +148,8 @@ func TestQuickMatMulAssociativity(t *testing.T) {
 		a.FillNormal(rr, 0, 1)
 		b.FillNormal(rr, 0, 1)
 		v.FillNormal(rr, 0, 1)
-		left := MatMul(MatMul(a, b), v)
-		right := MatMul(a, MatMul(b, v))
+		left := matMul(matMul(a, b), v)
+		right := matMul(a, matMul(b, v))
 		for i := range left.Data {
 			if math.Abs(float64(left.Data[i]-right.Data[i])) > 1e-3 {
 				return false

@@ -70,21 +70,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n indices in place using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// FillUniform fills t with uniform values in [lo, hi).
-func (t *Tensor) FillUniform(r *RNG, lo, hi float32) {
-	for i := range t.Data {
-		t.Data[i] = lo + (hi-lo)*r.Float32()
-	}
-}
-
 // FillNormal fills t with Gaussian values of the given mean and standard
 // deviation.
 func (t *Tensor) FillNormal(r *RNG, mean, std float32) {

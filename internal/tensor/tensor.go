@@ -5,10 +5,7 @@
 // nothing more, with no external dependencies.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense, row-major float32 tensor of arbitrary rank.
 // The zero value is not usable; construct tensors with New, Zeros or
@@ -163,38 +160,6 @@ func (t *Tensor) AddScaled(o *Tensor, a float32) {
 
 // Add adds o element-wise into t. Shapes must match in size.
 func (t *Tensor) Add(o *Tensor) { t.AddScaled(o, 1) }
-
-// Sum returns the sum of all elements (accumulated in float64 for
-// stability).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Max returns the maximum element and its flat index.
-func (t *Tensor) Max() (float32, int) {
-	best := float32(math.Inf(-1))
-	arg := -1
-	for i, v := range t.Data {
-		if v > best {
-			best = v
-			arg = i
-		}
-	}
-	return best, arg
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
 
 // String renders a short human-readable description.
 func (t *Tensor) String() string {

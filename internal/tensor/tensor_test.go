@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -104,21 +103,6 @@ func TestFillScaleAddScaled(t *testing.T) {
 		if v != 10 {
 			t.Fatalf("Data[%d] = %v, want 10", i, v)
 		}
-	}
-	if got := x.Sum(); got != 40 {
-		t.Fatalf("Sum = %v, want 40", got)
-	}
-}
-
-func TestMaxAndL2Norm(t *testing.T) {
-	x := FromSlice([]float32{-1, 5, 2, -7}, 4)
-	v, i := x.Max()
-	if v != 5 || i != 1 {
-		t.Fatalf("Max = (%v,%d), want (5,1)", v, i)
-	}
-	want := math.Sqrt(1 + 25 + 4 + 49)
-	if got := x.L2Norm(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("L2Norm = %v, want %v", got, want)
 	}
 }
 

@@ -101,9 +101,10 @@ const (
 	MsgError
 	// MsgBye ends the session cleanly.
 	MsgBye
-	// MsgHeartbeat is a node→cloud liveness beacon carrying the session
-	// epoch. It needs no answer; its arrival (like any frame's) refreshes
-	// the node's lease on the cloud.
+	// MsgHeartbeat is a node→cloud liveness beacon. It needs no answer;
+	// its arrival (like any frame's) refreshes the node's lease on the
+	// cloud. Its payload is empty and never read (older agents sent the
+	// 8-byte session epoch).
 	MsgHeartbeat
 )
 
@@ -173,16 +174,6 @@ func EncodeFrame(version uint8, t MsgType, payload []byte) ([]byte, error) {
 	sum := crc32.ChecksumIEEE(frame[4 : HeaderLen+len(payload)])
 	binary.LittleEndian.PutUint32(frame[HeaderLen+len(payload):], sum)
 	return frame, nil
-}
-
-// WriteFrame encodes and writes one frame to w.
-func WriteFrame(w io.Writer, version uint8, t MsgType, payload []byte) error {
-	frame, err := EncodeFrame(version, t, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
 }
 
 // readHeader reads and validates the fixed prefix, returning the payload

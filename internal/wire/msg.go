@@ -549,22 +549,6 @@ func DecodeStateLoaded(payload []byte) (uint32, string, error) {
 	return tag, s, d.done()
 }
 
-// EncodeHeartbeat builds a MsgHeartbeat payload carrying the session
-// epoch (debuggability: a stray beat names the session it came from).
-func EncodeHeartbeat(epoch uint64) []byte {
-	var e enc
-	e.u64(epoch)
-	b, _ := e.bytes()
-	return b
-}
-
-// DecodeHeartbeat parses a MsgHeartbeat payload.
-func DecodeHeartbeat(payload []byte) (uint64, error) {
-	d := newDec(payload)
-	epoch := d.u64()
-	return epoch, d.done()
-}
-
 // EncodeError builds a MsgError payload.
 func EncodeError(text string) []byte {
 	var e enc

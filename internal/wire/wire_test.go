@@ -16,9 +16,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {0}, []byte("hello fleet"), bytes.Repeat([]byte{0xAB}, 1<<16)}
 	var stream bytes.Buffer
 	for i, p := range payloads {
-		if err := WriteFrame(&stream, 1, MsgType(i+1), p); err != nil {
-			t.Fatalf("WriteFrame(%d): %v", i, err)
+		frame, err := EncodeFrame(1, MsgType(i+1), p)
+		if err != nil {
+			t.Fatalf("EncodeFrame(%d): %v", i, err)
 		}
+		stream.Write(frame)
 	}
 	for i, p := range payloads {
 		v, typ, got, err := ReadFrame(&stream)
@@ -149,17 +151,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if got.Node != 5 || got.Epoch != 0 {
 		t.Fatalf("epoch-less hello decoded as %+v", got)
-	}
-}
-
-func TestHeartbeatRoundTrip(t *testing.T) {
-	t.Parallel()
-	epoch, err := DecodeHeartbeat(EncodeHeartbeat(77))
-	if err != nil || epoch != 77 {
-		t.Fatalf("heartbeat: got (%d, %v), want (77, nil)", epoch, err)
-	}
-	if _, err := DecodeHeartbeat(nil); err == nil {
-		t.Fatal("empty heartbeat payload must not decode")
 	}
 }
 

@@ -181,6 +181,7 @@ func ReferenceConv(input, weights *tensor.Tensor, g tensor.Conv2DGeom) *tensor.T
 	cols := tensor.New(g.ColRows(), g.ColCols())
 	tensor.Im2Col(input, g, cols)
 	fm := weights.Reshape(g.OutChannels, g.ColRows())
-	out := tensor.MatMul(fm, cols)
+	out := tensor.New(g.OutChannels, g.ColCols())
+	tensor.MatMulInto(out, fm, cols)
 	return out.Reshape(g.OutChannels, g.OutHeight(), g.OutWidth())
 }

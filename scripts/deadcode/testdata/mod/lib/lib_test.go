@@ -1,0 +1,8 @@
+package lib
+
+import "testing"
+
+func TestOnlyTests(t *testing.T) {
+	OnlyTests()
+	Dead{}.Run()
+}
