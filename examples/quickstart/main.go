@@ -39,10 +39,7 @@ func main() {
 	for i := range pool {
 		images[i] = pool[i].Image
 	}
-	for step := 0; step < 120; step++ {
-		i0 := (step * 16) % len(images)
-		trainer.Step(images[i0 : i0+16])
-	}
+	trainer.Train(images, 120)
 	fmt.Printf("   jigsaw task accuracy: %.2f (chance %.2f)\n",
 		trainer.Evaluate(images[:64]), 1.0/perms)
 

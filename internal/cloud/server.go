@@ -170,16 +170,7 @@ func (s *Server) trainJigsaw(samples []dataset.Sample, locked int) {
 	}
 	prefixes := transfer.ConvPrefixes(locked)
 	s.jig.FreezeLayers(prefixes...)
-	const batch = 16
-	steps := StepsFor(len(images))
-	for step := 0; step < steps; step++ {
-		i0 := (step * batch) % len(images)
-		end := i0 + batch
-		if end > len(images) {
-			end = len(images)
-		}
-		s.trainer.Step(images[i0:end])
-	}
+	s.trainer.Train(images, StepsFor(len(images)))
 	s.jig.UnfreezeLayers(prefixes...)
 }
 

@@ -41,9 +41,9 @@ type BatchDiagnoser interface {
 }
 
 // scoreTile is how many images one ScoreBatch call scores. A jigsaw
-// diagnoser forwards scoreTile × Probes shuffled images — about 430
-// patches — at once, which fills the eval-mode convolution panels
-// without growing the activations past a few MB.
+// diagnoser runs its trunk over scoreTile × 9 = 144 tiles and its head
+// over scoreTile × Probes (48) rows at once, which fills the eval-mode
+// convolution panels without growing the activations past a few MB.
 const scoreTile = 16
 
 // Scores returns d's score of every sample, in order: in tiles of
@@ -142,20 +142,27 @@ func (d *JigsawDiagnoser) Score(img *tensor.Tensor) float64 {
 }
 
 // ScoreBatch implements BatchDiagnoser: every image is shuffled by each
-// of the Probes permutations and all len(imgs) × Probes shuffles go
-// through the network in one forward.
+// of the Probes permutations, and the len(imgs) × Probes shuffles go
+// through the head in one forward. The trunk works on each tile alone,
+// so a tile's features are the same under every permutation: it runs
+// once over the 9 tiles of each image, in identity order, and each
+// shuffle gathers its rows from that.
 func (d *JigsawDiagnoser) ScoreBatch(imgs []*tensor.Tensor, dst []float64) {
-	images := make([]*tensor.Tensor, 0, len(imgs)*d.Probes)
+	idx := make([]int, 0, len(imgs)*d.Probes)
+	perms := make([]jigsaw.Permutation, 0, len(imgs)*d.Probes)
 	labels := make([]int, 0, len(imgs)*d.Probes)
-	for _, img := range imgs {
+	for n := range imgs {
 		for i := 0; i < d.Probes; i++ {
-			images = append(images, img)
 			// Deterministic probe schedule: spread probes across the set.
-			labels = append(labels, (i*d.Set.Len())/d.Probes)
+			label := (i * d.Set.Len()) / d.Probes
+			idx = append(idx, n)
+			perms = append(perms, d.Set.At(label))
+			labels = append(labels, label)
 		}
 	}
-	x := jigsaw.Batch(images, labels, d.Set)
-	probs := nn.Softmax(d.Net.Forward(x, false))
+	depth := jigsaw.TrunkDepth(d.Net)
+	x := jigsaw.Gather(jigsaw.TileFeatures(d.Net, imgs, depth), idx, perms)
+	probs := nn.Softmax(d.Net.ForwardLayers(x, depth, len(d.Net.Layers), false))
 	for n := range imgs {
 		var s float64
 		for i := 0; i < d.Probes; i++ {

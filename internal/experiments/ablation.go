@@ -99,14 +99,7 @@ func AblationThreshold(s Scale) AblationThresholdResult {
 	for i := range pool {
 		images[i] = pool[i].Image
 	}
-	for step := 0; step < s.Steps; step++ {
-		i0 := (step * 16) % len(images)
-		end := i0 + 16
-		if end > len(images) {
-			end = len(images)
-		}
-		tr.Step(images[i0:end])
-	}
+	tr.Train(images, s.Steps)
 	inference := models.TinyAlex(s.Classes, s.Seed+54)
 	trainPool := g.IdealSet(s.TrainImages)
 	trainNet(inference, trainPool, s.Steps)

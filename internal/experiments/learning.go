@@ -85,15 +85,7 @@ func pretrainJigsaw(s Scale, steps int) (*jigsaw.Trainer, float64) {
 	for i := range pool {
 		images[i] = pool[i].Image
 	}
-	const batch = 16
-	for step := 0; step < steps; step++ {
-		i0 := (step * batch) % len(images)
-		end := i0 + batch
-		if end > len(images) {
-			end = len(images)
-		}
-		tr.Step(images[i0:end])
-	}
+	tr.Train(images, steps)
 	var eval []*tensor.Tensor
 	for _, smp := range g.MixedSet(s.TestImages/2+2, 0.5, 0.6) {
 		eval = append(eval, smp.Image)

@@ -89,7 +89,7 @@ func TestShufflePlacesTiles(t *testing.T) {
 		}
 	}
 	perm := Permutation{4, 7, 0, 3, 8, 5, 1, 6, 2} // the paper's example
-	out := Shuffle(img, perm)
+	out := shuffle(img, perm)
 	if out.Dim(0) != GridTiles || out.Dim(2) != P {
 		t.Fatalf("shuffle shape %v", out.Shape())
 	}
@@ -109,7 +109,7 @@ func TestQuickShuffleLossless(t *testing.T) {
 		img := tensor.New(models.ImgChannels, models.ImgSize, models.ImgSize)
 		img.FillNormal(r, 0, 1)
 		perm := set.At(int(permIdx) % set.Len())
-		out := Shuffle(img, perm)
+		out := shuffle(img, perm)
 		var sumIn, sumOut float64
 		for _, v := range img.Data {
 			sumIn += float64(v)
@@ -122,6 +122,12 @@ func TestQuickShuffleLossless(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shuffle is one image's jigsaw input under perm: its tiles gathered so
+// that slot i holds original tile perm[i].
+func shuffle(img *tensor.Tensor, perm Permutation) *tensor.Tensor {
+	return Gather(tiles([]*tensor.Tensor{img}), []int{0}, []Permutation{perm})
 }
 
 func absf(x float64) float64 {
@@ -163,8 +169,8 @@ func TestBatchLayout(t *testing.T) {
 	if x.Dim(0) != 3*GridTiles {
 		t.Fatalf("batch rows = %d, want 27", x.Dim(0))
 	}
-	// Row block i must equal Shuffle(images[i], perm).
-	want := Shuffle(images[1], set.At(5))
+	// Row block i must equal shuffle(images[i], perm).
+	want := shuffle(images[1], set.At(5))
 	per := want.Size()
 	for j := 0; j < per; j += 53 {
 		if x.Data[per+j] != want.Data[j] {

@@ -41,6 +41,17 @@ func (l *Regroup) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dy.Reshape(b*l.Group, gf/l.Group)
 }
 
+// TrunkDepth returns the index of net's Regroup layer: the layers below
+// it run on each tile alone.
+func TrunkDepth(net *nn.Network) int {
+	for i, l := range net.Layers {
+		if _, ok := l.(*Regroup); ok {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("jigsaw: network %q has no regroup layer", net.Name))
+}
+
 // NewNet builds the jigsaw (diagnosis/unsupervised) network: the shared
 // per-patch trunk (conv1..conv3, weight-compatible with TinyAlex),
 // flatten, regroup over the 9 tiles, and a 2-layer FCN head classifying
@@ -84,6 +95,33 @@ func (t *Trainer) RNGState() uint64 { return t.rng.State() }
 // SetRNGState rewinds the permutation-sampling stream to a saved
 // position.
 func (t *Trainer) SetRNGState(s uint64) { t.rng.SetState(s) }
+
+// trainBatch is how many images one step of Train takes.
+const trainBatch = 16
+
+// Train runs steps unsupervised training steps over images: step s is
+// Step on the up to 16 images from (16·s) mod len(images) on, clipped at
+// the end of the set, and it draws the same permutations. The net's
+// frozen prefix (nn.Network.FrozenDepth) runs over every image's tiles
+// once per call, 16 images at a time, and each step gathers its rows
+// from that: a frozen trunk costs one forward per image per call instead
+// of one per visit. Freezing is the caller's and must not change during
+// the call. Train returns the last step's loss.
+func (t *Trainer) Train(images []*tensor.Tensor, steps int) (loss float64) {
+	feats := t.Net.ForwardFrozenChunks(len(images), trainBatch, func(i0, i1 int) *tensor.Tensor {
+		return tiles(images[i0:i1])
+	})
+	for s := 0; s < steps; s++ {
+		i0 := (s * trainBatch) % len(images)
+		labels := make([]int, min(trainBatch, len(images)-i0))
+		for i := range labels {
+			labels[i] = t.rng.Intn(t.Set.Len())
+		}
+		loss, _ = t.Net.TrainStepAbove(gatherFrom(feats, i0, labels, t.Set), labels)
+		t.Opt.Step(t.Net.Params())
+	}
+	return loss
+}
 
 // Step runs one unsupervised training step on a batch of unlabeled
 // images, returning the task loss and accuracy.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"insitu/internal/models"
+	"insitu/internal/nn"
 	"insitu/internal/tensor"
 )
 
@@ -25,17 +26,50 @@ func Tile(img *tensor.Tensor, t int, dst *tensor.Tensor) {
 	}
 }
 
-// Shuffle builds the jigsaw network input for one image under permutation
-// perm: a [GridTiles, C, P, P] tensor where slot i holds original tile
-// perm[i].
-func Shuffle(img *tensor.Tensor, perm Permutation) *tensor.Tensor {
+// tiles cuts every image into its GridTiles tiles in identity order:
+// [len(images)·GridTiles, C, P, P], image-major.
+func tiles(images []*tensor.Tensor) *tensor.Tensor {
 	const P = models.PatchSize
-	c := img.Dim(0)
-	out := tensor.New(GridTiles, c, P, P)
+	c := images[0].Dim(0)
 	per := c * P * P
-	for slot, orig := range perm {
-		dst := tensor.FromSlice(out.Data[slot*per:(slot+1)*per], c, P, P)
-		Tile(img, orig, dst)
+	out := tensor.New(len(images)*GridTiles, c, P, P)
+	for i, img := range images {
+		for t := 0; t < GridTiles; t++ {
+			r := i*GridTiles + t
+			Tile(img, t, tensor.FromSlice(out.Data[r*per:(r+1)*per], c, P, P))
+		}
+	}
+	return out
+}
+
+// TileFeatures runs net's first depth layers over the tiles of every
+// image, in identity order and eval mode: [len(images)·GridTiles, ...],
+// one row per tile. depth must not pass the Regroup layer (TrunkDepth),
+// below which the net works on each tile alone, so a tile's row is the
+// same under every permutation.
+func TileFeatures(net *nn.Network, images []*tensor.Tensor, depth int) *tensor.Tensor {
+	return net.ForwardLayers(tiles(images), 0, depth, false)
+}
+
+// Gather builds jigsaw rows from per-tile rows: feats holds the tiles
+// of some images in identity order, GridTiles rows per image, as tiles
+// and TileFeatures lay them out. Block i of the result is image
+// images[i] shuffled by perms[i]: its slot s holds tile perms[i][s].
+// Rows keep feats' shape, and the memory layout is the same whether a
+// block is read as GridTiles rows or, after Regroup, as one.
+func Gather(feats *tensor.Tensor, images []int, perms []Permutation) *tensor.Tensor {
+	if len(images) != len(perms) {
+		panic("jigsaw: images/perms length mismatch")
+	}
+	shape := feats.Shape()
+	per := feats.Size() / shape[0]
+	shape[0] = len(images) * GridTiles
+	out := tensor.New(shape...)
+	for i, img := range images {
+		for slot, t := range perms[i] {
+			src := (img*GridTiles + t) * per
+			copy(out.Data[(i*GridTiles+slot)*per:], feats.Data[src:src+per])
+		}
 	}
 	return out
 }
@@ -47,15 +81,18 @@ func Batch(images []*tensor.Tensor, labels []int, set *PermSet) *tensor.Tensor {
 	if len(images) != len(labels) {
 		panic("jigsaw: images/labels length mismatch")
 	}
-	const P = models.PatchSize
-	c := images[0].Dim(0)
-	per := c * P * P
-	out := tensor.New(len(images)*GridTiles, c, P, P)
-	for i, img := range images {
-		shuffled := Shuffle(img, set.At(labels[i]))
-		copy(out.Data[i*GridTiles*per:(i+1)*GridTiles*per], shuffled.Data)
+	return gatherFrom(tiles(images), 0, labels, set)
+}
+
+// gatherFrom gathers len(labels) consecutive images of feats from
+// image first on, image first+i shuffled by set.At(labels[i]).
+func gatherFrom(feats *tensor.Tensor, first int, labels []int, set *PermSet) *tensor.Tensor {
+	idx := make([]int, len(labels))
+	perms := make([]Permutation, len(labels))
+	for i, l := range labels {
+		idx[i], perms[i] = first+i, set.At(l)
 	}
-	return out
+	return Gather(feats, idx, perms)
 }
 
 // RandomBatch shuffles each image by a random permutation from the set,

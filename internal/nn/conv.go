@@ -19,13 +19,16 @@ type Conv2D struct {
 	W *Param // [M, N, K, K]
 	B *Param // [M]
 
-	// caches for backward
-	cols    []*tensor.Tensor // per-sample column matrices (train mode)
+	// caches for backward: lastBat is the batch of the last training
+	// forward (0 after any other), cols its per-sample column matrices
+	// while W is trainable
+	cols    []*tensor.Tensor
 	inShape []int
 	lastBat int
 
-	// ws pools the per-chunk backward dcols scratch so steady-state
-	// passes reuse the same storage. gW and gB are the one weight- and
+	// ws pools the per-chunk column scratch of a training forward that
+	// keeps no cols and of backward's dcols, so steady-state passes reuse
+	// the same storage. gW and gB are the one weight- and
 	// bias-gradient accumulator pair, summed in sample order and reused
 	// every step; dys holds a backward's per-sample views of dy.
 	ws     tensor.Workspace
@@ -57,41 +60,83 @@ func (l *Conv2D) Name() string { return l.name }
 func (l *Conv2D) Params() []*Param { return []*Param{l.W, l.B} }
 
 // Forward implements Layer. x is [B, N, H, W]; the result is [B, M, R, C].
-// A training forward keeps every image's column matrix for Backward; an
-// eval forward keeps nothing and runs forwardEval's batched panels.
+// A training forward keeps every image's column matrix for Backward
+// while W is trainable (paramGrads is their only reader); an eval
+// forward keeps nothing and runs forwardEval's batched panels. A frozen
+// conv below the lowest trainable layer trains through forwardFrozen,
+// so a frozen W reaches this method's training branch only in a frozen
+// conv above a trainable one, which no CONV-i lock (ConvPrefixes) makes:
+// its Backward still passes dx down, and that needs no cols.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out, fm := l.prepare(x)
+	if !train {
+		l.cols = l.cols[:0]
+		l.lastBat = 0
+		l.forwardEval(x, out, fm)
+		return out
+	}
+	l.inShape = x.Shape()
+	l.lastBat = x.Dim(0)
+	if l.W.Frozen {
+		l.cols = nil
+	}
+	l.forwardTrain(x, out, fm, !l.W.Frozen)
+	return out
+}
+
+// forwardFrozen is the training forward keeping no backward state.
+func (l *Conv2D) forwardFrozen(x *tensor.Tensor) *tensor.Tensor {
+	out, fm := l.prepare(x)
+	l.cols, l.inShape, l.lastBat = nil, nil, 0
+	l.gW, l.gB, l.dys, l.dx = nil, nil, nil, nil
+	l.forwardTrain(x, out, fm, false)
+	return out
+}
+
+// prepare checks x against the geometry and returns the output tensor
+// and the [M, N·K²] filter matrix.
+func (l *Conv2D) prepare(x *tensor.Tensor) (out, fm *tensor.Tensor) {
 	g := l.Geom
 	if x.Rank() != 4 || x.Dim(1) != g.InChannels || x.Dim(2) != g.InHeight || x.Dim(3) != g.InWidth {
 		panic(fmt.Sprintf("nn: conv %q input shape %v does not match geom %+v", l.name, x.Shape(), g))
 	}
-	batch := x.Dim(0)
-	outH, outW := g.OutHeight(), g.OutWidth()
-	out := tensor.New(batch, g.OutChannels, outH, outW)
-	fm := l.W.Value.Reshape(g.OutChannels, g.ColRows())
-	if !train {
-		l.cols = l.cols[:0]
-		l.forwardEval(x, out, fm)
-		return out
-	}
+	out = tensor.New(x.Dim(0), g.OutChannels, g.OutHeight(), g.OutWidth())
+	return out, l.W.Value.Reshape(g.OutChannels, g.ColRows())
+}
 
-	l.inShape = x.Shape()
-	l.lastBat = batch
-	if cap(l.cols) < batch {
-		l.cols = make([]*tensor.Tensor, batch)
-	}
-	l.cols = l.cols[:batch]
-	for b := range l.cols {
-		if l.cols[b] == nil || l.cols[b].Dim(0) != g.ColRows() || l.cols[b].Dim(1) != g.ColCols() {
-			l.cols[b] = tensor.New(g.ColRows(), g.ColCols())
+// forwardTrain computes out = conv(x) with one im2col and one GEMM per
+// image. With keep, every image's column matrix stays in l.cols;
+// otherwise each chunk of images reuses one pooled scratch matrix.
+func (l *Conv2D) forwardTrain(x, out, fm *tensor.Tensor, keep bool) {
+	g := l.Geom
+	batch := x.Dim(0)
+	if keep {
+		if cap(l.cols) < batch {
+			l.cols = make([]*tensor.Tensor, batch)
+		}
+		l.cols = l.cols[:batch]
+		for b := range l.cols {
+			if l.cols[b] == nil || l.cols[b].Dim(0) != g.ColRows() || l.cols[b].Dim(1) != g.ColCols() {
+				l.cols[b] = tensor.New(g.ColRows(), g.ColCols())
+			}
 		}
 	}
 
+	outH, outW := g.OutHeight(), g.OutWidth()
 	perImage := g.InChannels * g.InHeight * g.InWidth
 	perOut := g.OutChannels * outH * outW
 	tensor.ParallelChunks(batch, func(_, b0, b1 int) {
+		var scratch *tensor.Tensor
+		if !keep {
+			scratch = l.ws.Get(g.ColRows(), g.ColCols())
+			defer l.ws.Put(scratch)
+		}
 		for b := b0; b < b1; b++ {
 			in := tensor.FromSlice(x.Data[b*perImage:(b+1)*perImage], g.InChannels, g.InHeight, g.InWidth)
-			cols := l.cols[b]
+			cols := scratch
+			if keep {
+				cols = l.cols[b]
+			}
 			tensor.Im2Col(in, g, cols)
 			dst := tensor.FromSlice(out.Data[b*perOut:(b+1)*perOut], g.OutChannels, outH*outW)
 			tensor.MatMulInto(dst, fm, cols)
@@ -107,7 +152,6 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	})
-	return out
 }
 
 // Eval-mode convolution runs one GEMM per tile of images instead of one
@@ -208,11 +252,11 @@ func (l *Conv2D) backwardParams(dy *tensor.Tensor) {
 func (l *Conv2D) sampleGrads(dy *tensor.Tensor) []*tensor.Tensor {
 	g := l.Geom
 	batch := l.lastBat
-	if len(l.cols) != batch {
-		panic("nn: conv backward before forward(train=true)")
-	}
 	rc := g.OutHeight() * g.OutWidth()
 	perOut := g.OutChannels * rc
+	if batch == 0 || dy.Size() != batch*perOut {
+		panic("nn: conv backward before forward(train=true) or size mismatch")
+	}
 	if cap(l.dys) < batch {
 		l.dys = make([]*tensor.Tensor, batch)
 	}

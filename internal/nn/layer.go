@@ -53,17 +53,30 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return out
 	}
-	out := x.Clone()
+	out := clamp(x)
 	if cap(l.mask) < len(out.Data) {
 		l.mask = make([]bool, len(out.Data))
 	}
 	l.mask = l.mask[:len(out.Data)]
 	for i, v := range out.Data {
+		l.mask[i] = v != 0 // clamp zeroed exactly the inputs v <= 0
+	}
+	return out
+}
+
+// forwardFrozen is the training forward without the mask.
+func (l *ReLU) forwardFrozen(x *tensor.Tensor) *tensor.Tensor {
+	l.mask = nil
+	return clamp(x)
+}
+
+// clamp is the training forward's arithmetic: every v <= 0 becomes +0,
+// and everything else (NaN included) passes unchanged.
+func clamp(x *tensor.Tensor) *tensor.Tensor {
+	out := x.Clone()
+	for i, v := range out.Data {
 		if v <= 0 {
 			out.Data[i] = 0
-			l.mask[i] = false
-		} else {
-			l.mask[i] = true
 		}
 	}
 	return out

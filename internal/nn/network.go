@@ -25,17 +25,32 @@ func NewNetwork(name string, layers ...Layer) *Network {
 // Forward runs the full stack. train enables dropout and activation
 // caching for a subsequent Backward.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return n.ForwardLayers(x, 0, len(n.Layers), train)
+}
+
+// ForwardLayers runs layers [from, to) over x, as Forward runs them all:
+// a network split at any depth computes the same output in two calls.
+func (n *Network) ForwardLayers(x *tensor.Tensor, from, to int, train bool) *tensor.Tensor {
+	return n.forward(x, n.Layers[from:to], train, false)
+}
+
+// forward runs layers over x: with frozen, each through its
+// frozenForwarder; otherwise through Forward(x, train).
+func (n *Network) forward(x *tensor.Tensor, layers []Layer, train, frozen bool) *tensor.Tensor {
 	s := nstats.Load()
-	if s == nil {
-		for _, l := range n.Layers {
+	for _, l := range layers {
+		var start time.Time
+		if s != nil {
+			start = time.Now()
+		}
+		if frozen {
+			x = l.(frozenForwarder).forwardFrozen(x)
+		} else {
 			x = l.Forward(x, train)
 		}
-		return x
-	}
-	for _, l := range n.Layers {
-		start := time.Now()
-		x = l.Forward(x, train)
-		s.observeForward(l.Name(), time.Since(start))
+		if s != nil {
+			s.observeForward(l.Name(), time.Since(start))
+		}
 	}
 	return x
 }
@@ -51,7 +66,7 @@ func (n *Network) Params() []*Param {
 
 // TrainStep runs one forward/backward pass on a batch and returns the mean
 // loss and batch accuracy. Parameter gradients are left accumulated for
-// the optimizer.
+// the optimizer. It is TrainStepAbove over ForwardFrozen(x).
 //
 // Backward stops at the lowest layer that has a trainable parameter
 // (non-frozen): that layer accumulates its parameter
@@ -63,19 +78,85 @@ func (n *Network) Params() []*Param {
 // Layer): every trainable gradient comes from the same calls, in the
 // same order, as a full backward.
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (loss, acc float64) {
-	s := nstats.Load()
-	var stepStart time.Time
-	if s != nil {
-		stepStart = time.Now()
+	start := stepStart()
+	return n.trainAbove(n.ForwardFrozen(x), labels, start)
+}
+
+// FrozenDepth returns how many leading layers form the frozen prefix:
+// the layers below the lowest trainable one, up to the first whose
+// training forward does not treat each sample on its own and
+// deterministically (only Conv2D, ReLU and MaxPool2D do). A sample's
+// prefix output is then the same in every training step until a weight
+// in the prefix changes, so a caller may compute it once with
+// ForwardFrozen, in batches of any size, and pass it to TrainStepAbove
+// as often as it likes. Freezing or unfreezing a layer moves the depth.
+func (n *Network) FrozenDepth() int {
+	stop := n.stopLayer()
+	for i, l := range n.Layers[:stop] {
+		if _, ok := l.(frozenForwarder); !ok {
+			return i
+		}
 	}
-	logits := n.Forward(x, true)
+	return stop
+}
+
+// ForwardFrozen runs the frozen prefix (FrozenDepth) over x with
+// training arithmetic, keeping no backward state: no Backward ever
+// reaches these layers, and whatever state earlier training left in
+// them is released.
+func (n *Network) ForwardFrozen(x *tensor.Tensor) *tensor.Tensor {
+	return n.forward(x, n.Layers[:n.FrozenDepth()], true, true)
+}
+
+// ForwardFrozenChunks returns ForwardFrozen over the input of items
+// items, computed chunk items at a time into one tensor: input(i0, i1)
+// builds the rows of items [i0, i1), and the result holds every chunk's
+// output rows in item order. The prefix treats each sample on its own,
+// so the rows are those of one call over all the input; chunking only
+// bounds how much input is live at once.
+func (n *Network) ForwardFrozenChunks(items, chunk int, input func(i0, i1 int) *tensor.Tensor) *tensor.Tensor {
+	var out *tensor.Tensor
+	off := 0
+	for i0 := 0; i0 < items; i0 += chunk {
+		i1 := min(i0+chunk, items)
+		h := n.ForwardFrozen(input(i0, i1))
+		if out == nil {
+			shape := h.Shape()
+			shape[0] = shape[0] / (i1 - i0) * items
+			out = tensor.New(shape...)
+		}
+		off += copy(out.Data[off:], h.Data)
+	}
+	return out
+}
+
+// TrainStepAbove is TrainStep given h = ForwardFrozen(x): it runs the
+// layers above the frozen prefix forward, then backward down to the
+// lowest trainable layer. It counts as one training step.
+func (n *Network) TrainStepAbove(h *tensor.Tensor, labels []int) (loss, acc float64) {
+	return n.trainAbove(h, labels, stepStart())
+}
+
+// stepStart is a training step's start time; it reads the clock only
+// when telemetry is on.
+func stepStart() (t time.Time) {
+	if nstats.Load() != nil {
+		t = time.Now()
+	}
+	return t
+}
+
+// trainAbove is TrainStepAbove for a step that started at start.
+func (n *Network) trainAbove(h *tensor.Tensor, labels []int, start time.Time) (loss, acc float64) {
+	s := nstats.Load()
+	logits := n.ForwardLayers(h, n.FrozenDepth(), len(n.Layers), true)
 	loss, grad := n.loss.LossAndGrad(logits, labels)
 	acc = Accuracy(logits, labels)
 	stop := n.stopLayer()
 	for i := len(n.Layers) - 1; i >= stop; i-- {
-		var start time.Time
+		var t0 time.Time
 		if s != nil {
-			start = time.Now()
+			t0 = time.Now()
 		}
 		l := n.Layers[i]
 		if pg, ok := l.(paramGrader); ok && i == stop {
@@ -84,15 +165,23 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (loss, acc float64) 
 			grad = l.Backward(grad)
 		}
 		if s != nil {
-			s.observeBackward(l.Name(), time.Since(start))
+			s.observeBackward(l.Name(), time.Since(t0))
 		}
 	}
 	if s != nil {
 		s.trainSteps.Add(1)
 		s.stepLoss.Set(loss)
-		s.stepTime.Observe(float64(time.Since(stepStart)) / float64(time.Microsecond))
+		s.stepTime.Observe(float64(time.Since(start)) / float64(time.Microsecond))
 	}
 	return loss, acc
+}
+
+// frozenForwarder is implemented by the layers whose training forward
+// treats each sample on its own and deterministically. forwardFrozen is
+// that forward's arithmetic without the state Backward would need, and
+// it drops whatever backward state the layer still holds.
+type frozenForwarder interface {
+	forwardFrozen(x *tensor.Tensor) *tensor.Tensor
 }
 
 // paramGrader is implemented by layers whose Backward splits into a

@@ -90,6 +90,13 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
+// forwardFrozen is the training forward without the argmax, which is
+// the eval forward.
+func (l *MaxPool2D) forwardFrozen(x *tensor.Tensor) *tensor.Tensor {
+	l.argmax, l.inShape = nil, nil
+	return l.Forward(x, false)
+}
+
 // Backward implements Layer: routes each output gradient to the input
 // element that won the max.
 func (l *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {

@@ -34,7 +34,6 @@ import (
 
 // int8Layer is one stage of an InferenceNetwork.
 type int8Layer interface {
-	name() string
 	forward(x *tensor.Tensor) *tensor.Tensor
 }
 
@@ -104,7 +103,6 @@ func WeightBytesRatioInt8() float64 { return 0.25 }
 // the int8 stack; it always runs in eval mode.
 type floatLayer struct{ l nn.Layer }
 
-func (f floatLayer) name() string                            { return f.l.Name() }
 func (f floatLayer) forward(x *tensor.Tensor) *tensor.Tensor { return f.l.Forward(x, false) }
 
 // int8Weights is a weight matrix quantized per output channel, plus the
@@ -220,8 +218,6 @@ func newInt8Dense(d *nn.Dense) *int8Dense {
 	}
 }
 
-func (l *int8Dense) name() string { return l.layerName }
-
 func (l *int8Dense) forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != l.in {
 		panic(fmt.Sprintf("quant: int8 dense %q input shape %v, want [B %d]", l.layerName, x.Shape(), l.in))
@@ -279,8 +275,6 @@ func newInt8Conv2D(c *nn.Conv2D) *int8Conv2D {
 		bias:      append([]float32(nil), c.B.Value.Data...),
 	}
 }
-
-func (l *int8Conv2D) name() string { return l.layerName }
 
 func (l *int8Conv2D) forward(x *tensor.Tensor) *tensor.Tensor {
 	g := l.geom

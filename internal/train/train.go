@@ -7,6 +7,7 @@ package train
 import (
 	"insitu/internal/dataset"
 	"insitu/internal/nn"
+	"insitu/internal/tensor"
 )
 
 // Config are training-loop hyperparameters. DefaultConfig returns the
@@ -37,7 +38,8 @@ type Result struct {
 // Run trains net on samples with minibatch cycling and returns the loss
 // trajectory. record > 0 stores the loss every record steps. Step s
 // trains on the BatchSize samples starting at s·BatchSize mod
-// len(samples), wrapping around the end of the set.
+// len(samples), wrapping around the end of the set. A frozen prefix
+// (nn.Network.FrozenDepth) runs once per sample per call; see batches.
 func Run(net *nn.Network, samples []dataset.Sample, cfg Config, record int) Result {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
@@ -47,18 +49,10 @@ func Run(net *nn.Network, samples []dataset.Sample, cfg Config, record int) Resu
 	}
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	res := Result{Steps: cfg.Steps}
-	n := len(samples)
+	batch := batches(net, samples, cfg.BatchSize)
 	for s := 0; s < cfg.Steps; s++ {
-		i0 := (s * cfg.BatchSize) % n
-		i1 := i0 + cfg.BatchSize
-		var batch []dataset.Sample
-		if i1 <= n {
-			batch = samples[i0:i1]
-		} else {
-			batch = append(append([]dataset.Sample(nil), samples[i0:]...), samples[:i1-n]...)
-		}
-		x, labels := dataset.Batch(batch)
-		loss, _ := net.TrainStep(x, labels)
+		x, labels := batch((s * cfg.BatchSize) % len(samples))
+		loss, _ := net.TrainStepAbove(x, labels)
 		opt.Step(net.Params())
 		res.FinalLoss = loss
 		if record > 0 && s%record == 0 {
@@ -66,6 +60,34 @@ func Run(net *nn.Network, samples []dataset.Sample, cfg Config, record int) Resu
 		}
 	}
 	return res
+}
+
+// batches returns Run's step input: the size samples from i0 on,
+// wrapping around the end of the set, as net.TrainStepAbove takes them.
+// Every sample's frozen-prefix output is computed once, size samples at
+// a time, and a step gathers its rows from those: the prefix's training
+// forward treats each sample on its own, so the rows are the ones a
+// per-step forward would compute. With nothing frozen the rows are the
+// samples themselves.
+func batches(net *nn.Network, samples []dataset.Sample, size int) func(i0 int) (*tensor.Tensor, []int) {
+	n := len(samples)
+	feats := net.ForwardFrozenChunks(n, size, func(i0, i1 int) *tensor.Tensor {
+		x, _ := dataset.Batch(samples[i0:i1])
+		return x
+	})
+	return func(i0 int) (*tensor.Tensor, []int) {
+		shape := feats.Shape()
+		per := feats.Size() / shape[0]
+		shape[0] = size
+		x := tensor.New(shape...)
+		labels := make([]int, size)
+		for k := range labels {
+			i := (i0 + k) % n
+			copy(x.Data[k*per:(k+1)*per], feats.Data[i*per:(i+1)*per])
+			labels[k] = samples[i].Label
+		}
+		return x, labels
+	}
 }
 
 // Evaluate computes accuracy of net over samples in chunks (bounding peak

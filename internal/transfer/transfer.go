@@ -70,6 +70,11 @@ func HardExamples(net *nn.Network, samples []dataset.Sample) []dataset.Sample {
 // costs only its forward pass. Correcting the rule moves every priced
 // Cloud cost in the round reports, and with them the benchmark's
 // report_digest, so it waits for a change that re-baselines those.
+//
+// The rule prices work per sample per pass, as the paper's model does.
+// train.Run and jigsaw.Trainer.Train run a locked prefix once per sample
+// per Update rather than once per visit; that is an implementation
+// saving the rule does not price.
 func TrainingOpsPerSample(spec models.NetSpec, lockedConvs int, convCopies int64) int64 {
 	var total int64
 	convSeen := 0
