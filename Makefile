@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet deadcode build test race race-short ingest-stress bench-smoke bench-kernels bench-kernels-json bench-json bench-diff bench-fleet bench-fleet-diff trace-smoke fault-smoke crash-smoke train-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
+.PHONY: check vet deadcode build test race race-short ingest-stress bench-smoke bench-compare trace-smoke fault-smoke crash-smoke train-smoke fleet-smoke health-smoke wire-smoke churn-smoke scale-smoke loop-digest clean
 
 check: vet deadcode build race bench-smoke
 
@@ -38,60 +38,29 @@ race-short:
 # The node-to-round-loop hand-off blocks by design (backpressure, the
 # Close-time release of abandoned stragglers), and one pass of a
 # blocking protocol proves little: repeat its tests under the race
-# detector. One P because the determinism tests still fail on more
-# (ROADMAP item 1). The tests train real models, so under -race the
-# three passes outlast go test's default 10m timeout on a slow core.
+# detector, at every P the host has. The tests train real models, so
+# under -race the three passes outlast go test's default 10m timeout
+# (about 15 minutes on a 2-vCPU host).
 ingest-stress:
-	GOMAXPROCS=1 $(GO) test -race -count=3 -timeout 45m \
+	$(GO) test -race -count=3 -timeout 45m \
 		-run 'TestFleetBackpressure|TestFleetOutageNode|TestFleetDeterministicAcrossShardTopologies|TestClose' \
 		./internal/fleet
 
-# Quick proof that the blocked kernels still run fast and allocation-free:
-# a short -benchtime keeps this under a minute.
+# Smoke run of the kernel, layer and train-step benchmarks (go test
+# -bench): they still build, run and report allocations. A short
+# -benchtime keeps this under a minute; it compares against no record.
 bench-smoke:
 	$(GO) test -run NONE -bench 'MatMul|Conv|Dense|TrainStep' -benchmem -benchtime 200ms \
-		./internal/tensor/ ./internal/nn/ .
+		./internal/tensor/ ./internal/nn/ ./internal/models/
 
-# Full kernel/layer benchmark sweep at the default benchtime, then
-# regenerate the machine-readable kernel record (GEMM at GOMAXPROCS
-# 1/2/4/8 plus the int8-vs-float32 layer rows; prior rounds are kept).
-bench-kernels:
-	$(GO) test -run NONE -bench 'MatMul|Im2Col|Col2Im|Conv|Dense' -benchmem \
-		./internal/tensor/ ./internal/nn/
-	$(GO) run ./cmd/insitu-kernelbench -out BENCH_kernels.json
-
-# Regenerate only BENCH_kernels.json (no go-test sweep).
-bench-kernels-json:
-	$(GO) run ./cmd/insitu-kernelbench -out BENCH_kernels.json
-
-# Perf-regression gate: measure fresh at a short benchtime and compare
-# against the committed record. The tolerance is generous (3 = fail past
-# 4x) because CI runners are noisy and share cores; the gate exists to
-# catch order-of-magnitude kernel regressions, not 10% drift.
-bench-diff:
-	$(GO) run ./cmd/insitu-kernelbench -out bench-diff-fresh.json -benchtime 100ms
-	$(GO) run ./cmd/insitu-benchdiff -tolerance 3 BENCH_kernels.json bench-diff-fresh.json
-	rm -f bench-diff-fresh.json
-
-# Regenerate BENCH_fleet.json, the committed record of the fleet-scale
-# sweep (N=1000 across 8 ingestion shards): p99 admission latency, peak
-# heap, and deterministic bytes-per-upload. Takes a few minutes on one
-# core.
-bench-fleet:
-	$(GO) run ./cmd/insitu-fleetbench -out BENCH_fleet.json
-
-# Fleet perf-regression gate: measure fresh and compare against the
-# committed record. Wall-clock (p99 admission) gets a very generous
-# tolerance — it scales with runner speed — while bytes_per_upload is
-# deterministic and gated tight by -bytes-tolerance's default.
-bench-fleet-diff:
-	$(GO) run ./cmd/insitu-fleetbench -out bench-fleet-fresh.json
-	$(GO) run ./cmd/insitu-benchdiff -tolerance 9 BENCH_fleet.json bench-fleet-fresh.json
-	rm -f bench-fleet-fresh.json
-
-# Machine-readable record of the paper-artifact generators.
-bench-json:
-	$(GO) run ./cmd/insitu-bench -exp all -scale small -json BENCH_insitu.json >/dev/null
+# The benchmark gate: three alternating pairs of untraced benchmark runs
+# (all four workloads, seeds 1-3) of PARENT and of the work tree on this
+# host, judged by `benchmark -compare`. Exits 1 when an end-to-end metric
+# regressed past its bound or failed operations rose. Takes about seven
+# minutes on a 2-vCPU host.
+bench-compare:
+	@test -n "$(PARENT)" || { echo "usage: make bench-compare PARENT=<rev>" >&2; exit 2; }
+	./scripts/bench_compare.sh $(PARENT)
 
 # End-to-end observability proof: run a small one-node closed loop with
 # tracing on, then validate the JSONL (dense seq, monotonic ts) and
@@ -198,7 +167,7 @@ loop-digest:
 	./scripts/loop_digest.sh
 
 clean:
-	rm -f trace-smoke.jsonl fleet-smoke.jsonl health-smoke.json health-smoke.jsonl bench-diff-fresh.json bench-fleet-fresh.json
+	rm -f trace-smoke.jsonl fleet-smoke.jsonl health-smoke.json health-smoke.jsonl
 	rm -f train-smoke-bin train-smoke.isdp
 	rm -rf crash-smoke-fleet crash-smoke-base.txt crash-smoke-resumed.txt crash-smoke-state churn-smoke-work
 	$(GO) clean ./...

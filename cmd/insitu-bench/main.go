@@ -8,7 +8,7 @@
 // fig16, fig21, fig22, fig23, table2, fig25, abl-split, abl-threshold,
 // abl-perms, abl-pipeline, abl-drift, abl-quant, abl-faults, abl-crash,
 // abl-fleet, all. -exp also accepts a comma-separated list; ids run in
-// sorted order regardless of how they were given, so the -json report is
+// sorted order regardless of how they were given, so the output is
 // ordered deterministically.
 //
 // -fault-rate / -outage inject downlink faults into every closed-loop
@@ -16,71 +16,21 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"time"
 
 	"insitu/internal/experiments"
 	"insitu/internal/metrics"
 	"insitu/internal/obs"
-	"insitu/internal/telemetry"
-	"insitu/internal/tensor"
 )
-
-// goAMD64Level reports the GOAMD64 microarchitecture level this binary
-// was compiled for, so bench records are attributable to the instruction
-// set they ran ("v3" builds assume AVX2 everywhere; "v1" builds rely on
-// the runtime CPU probe to pick the kernel).
-func goAMD64Level() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, set := range bi.Settings {
-			if set.Key == "GOAMD64" {
-				return set.Value
-			}
-		}
-	}
-	if runtime.GOARCH == "amd64" {
-		return "v1" // the toolchain default
-	}
-	return ""
-}
-
-// benchRecord is one experiment's cost in the -json report. With
-// -telemetry, Counters carries the kernel/pool/loop counter deltas
-// attributed to this experiment (FLOPs, pack bytes, workspace hits,
-// stages, uploads, …) next to the wall-clock cost.
-type benchRecord struct {
-	Exp        string           `json:"exp"`
-	NsPerOp    int64            `json:"ns_per_op"`
-	BytesPerOp uint64           `json:"bytes_per_op"`
-	Counters   map[string]int64 `json:"counters,omitempty"`
-}
-
-// benchReport is the machine-readable artifact written by -json.
-// Telemetry is the full end-of-run registry snapshot (counters, gauges,
-// per-layer timing histograms) when -telemetry is set.
-type benchReport struct {
-	Schema     string              `json:"schema"`
-	Timestamp  string              `json:"timestamp"`
-	Scale      string              `json:"scale"`
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	GoAMD64    string              `json:"goamd64,omitempty"`
-	Kernel     string              `json:"kernel"`
-	Results    []benchRecord       `json:"results"`
-	Telemetry  *telemetry.Snapshot `json:"telemetry,omitempty"`
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id, comma-separated list, or 'all'")
 	scaleName := flag.String("scale", "paper", "learning-experiment scale: small, paper or scale (abl-fleet at N=1000, sharded)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	jsonPath := flag.String("json", "", "also write a BENCH json record (wall time and bytes allocated per experiment) to this path")
 	var obsFlags obs.Flags
 	obsFlags.AddFlags(flag.CommandLine)
 	obsFlags.AddFaultFlags(flag.CommandLine)
@@ -159,9 +109,8 @@ func main() {
 		"abl-fleet":     func() *metrics.Table { return experiments.AblationFleet(fleetScale).Table() },
 	}
 
-	// Resolve -exp into a sorted, deduplicated id list: the report's
-	// Results array (and the tables on stdout) come out in the same order
-	// however the ids were spelled.
+	// Resolve -exp into a sorted, deduplicated id list: the tables on
+	// stdout come out in the same order however the ids were spelled.
 	var ids []string
 	if *exp == "all" {
 		for id := range runners {
@@ -178,14 +127,6 @@ func main() {
 		}
 	}
 	sort.Strings(ids)
-	report := benchReport{
-		Schema:     "insitu-bench/v1",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Scale:      *scaleName,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoAMD64:    goAMD64Level(),
-		Kernel:     tensor.KernelName(),
-	}
 	for _, id := range ids {
 		run, ok := runners[id]
 		if !ok {
@@ -197,45 +138,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s, all\n", id, strings.Join(known, ", "))
 			os.Exit(2)
 		}
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
-		telBefore := session.Registry.Snapshot()
-		start := time.Now()
 		table := run()
-		elapsed := time.Since(start)
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		rec := benchRecord{
-			Exp:        id,
-			NsPerOp:    elapsed.Nanoseconds(),
-			BytesPerOp: after.TotalAlloc - before.TotalAlloc,
-		}
-		if session.Registry != nil {
-			rec.Counters = session.Registry.Snapshot().CounterDelta(telBefore)
-		}
-		report.Results = append(report.Results, rec)
 		if *csv {
 			fmt.Print(table.CSV())
 		} else {
 			fmt.Println(table.String())
 		}
-	}
-	if session.Registry != nil {
-		snap := session.Registry.Snapshot()
-		report.Telemetry = &snap
-	}
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "encoding -json report: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing -json report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 	}
 	if err := session.Close(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "insitu-bench:", err)

@@ -86,8 +86,8 @@ type FleetRow struct {
 	// resident-state story.
 	PeakHeapBytes uint64
 	// BytesPerUpload is the mean metered uplink bytes per successfully
-	// uploaded sample — flat across N and deterministic, so the perf
-	// gate can hold it to a tight tolerance.
+	// uploaded sample — flat across N and deterministic (one
+	// dataset.ImageBytes image per upload).
 	BytesPerUpload float64
 	// Per-node Table-II-style metrics, averaged over nodes and rounds:
 	// these stay flat as N grows — scaling the fleet must not change any

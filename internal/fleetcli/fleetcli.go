@@ -137,9 +137,9 @@ func (o *Options) openStore() (*ckpt.Store, error) {
 	return ckpt.Open(o.StateDir)
 }
 
-// ParseInts parses a comma-separated list of non-negative ints,
+// parseInts parses a comma-separated list of non-negative ints,
 // exiting with a usage error on garbage.
-func ParseInts(arg, what string) []int {
+func parseInts(arg, what string) []int {
 	var out []int
 	if strings.TrimSpace(arg) == "" {
 		return out
@@ -203,7 +203,7 @@ func (o *Options) Run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	rounds := ParseInts(o.Rounds, "round size")
+	rounds := parseInts(o.Rounds, "round size")
 	if o.Listen == "" {
 		// The wire fleet's workers are processes: it ignores both flags.
 		topo := fleet.Config{Nodes: o.Nodes, Shards: o.Shards, MaxLiveNodes: o.MaxLiveNodes}
@@ -242,7 +242,7 @@ func (o *Options) Run() int {
 		CorruptProb: o.UplinkFaultRate / 2,
 		DropProb:    o.UplinkFaultRate / 2,
 	}
-	cfg.OutageNodes = ParseInts(o.OutageNodes, "outage node id")
+	cfg.OutageNodes = parseInts(o.OutageNodes, "outage node id")
 	cfg.MaxRoundSamples = o.MaxRoundSamples
 	cfg.MaxCalibSamples = o.MaxCalibSamples
 	cfg.Shards = o.Shards

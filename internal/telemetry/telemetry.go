@@ -333,8 +333,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry. It
-// marshals cleanly to JSON and is what insitu-bench embeds in its -json
-// report.
+// marshals cleanly to JSON: /metrics.json, expvar and checkpoints carry
+// it.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -342,18 +342,6 @@ type Snapshot struct {
 	// Windows holds each rolling window merged across its live slots —
 	// the last-span view, not the process-lifetime one.
 	Windows map[string]HistogramSnapshot `json:"windows,omitempty"`
-}
-
-// CounterDelta returns s.Counters minus prev.Counters, dropping zero
-// deltas — the per-experiment attribution insitu-bench reports.
-func (s Snapshot) CounterDelta(prev Snapshot) map[string]int64 {
-	out := make(map[string]int64)
-	for name, v := range s.Counters {
-		if d := v - prev.Counters[name]; d != 0 {
-			out[name] = d
-		}
-	}
-	return out
 }
 
 // Snapshot copies the registry's current state. Returns a zero Snapshot

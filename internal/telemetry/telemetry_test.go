@@ -172,17 +172,6 @@ func TestPromAndJSONDump(t *testing.T) {
 	if !strings.Contains(jsonOut.String(), "\"gemm_calls_total\": 7") {
 		t.Errorf("json dump missing counter:\n%s", jsonOut.String())
 	}
-
-	snap := r.Snapshot()
-	delta := r.Snapshot().CounterDelta(snap)
-	if len(delta) != 0 {
-		t.Errorf("delta against identical snapshot = %v, want empty", delta)
-	}
-	r.Counter("gemm_calls_total").Add(2)
-	delta = r.Snapshot().CounterDelta(snap)
-	if delta["gemm_calls_total"] != 2 {
-		t.Errorf("delta = %v, want gemm_calls_total: 2", delta)
-	}
 }
 
 // ServeDebug binds, answers /metrics and /debug/pprof/, and shuts down.

@@ -89,14 +89,6 @@ func (p *workerPool) worker() {
 	}
 }
 
-// close stops the background workers. Only used by tests on private
-// pools; the shared pool lives for the process lifetime.
-func (p *workerPool) close() {
-	if p.wake != nil {
-		close(p.wake)
-	}
-}
-
 // dispatch runs the prepared job slot across the pool's workers plus the
 // calling goroutine and waits for every claimed tile to finish. The
 // caller must hold p.mu and have filled p.job.

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// close stops a private pool's background workers; the shared pool lives
+// for the process lifetime.
+func (p *workerPool) close() {
+	if p.wake != nil {
+		close(p.wake)
+	}
+}
+
 func TestParallelChunksCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 17, 100} {
 		var mu sync.Mutex

@@ -80,7 +80,11 @@ func TestKernelCountersWorkerInvariance(t *testing.T) {
 		pre := reg.Snapshot()
 		MatMulInto(c, a, b)
 		post := reg.Snapshot()
-		return post.CounterDelta(pre)
+		delta := make(map[string]int64)
+		for name, v := range post.Counters {
+			delta[name] = v - pre.Counters[name]
+		}
+		return delta
 	}
 	inline := run(0)
 	parallel := run(7)
