@@ -170,15 +170,24 @@ func (g *Generator) render(label int, cond Condition, severity float64) Sample {
 		cy = 0.4 + 0.2*g.rng.Float64()
 	}
 
-	// Background: low-frequency savanna texture.
+	// Channel planes of the [3, S, S] image, indexed [y*S+x].
+	r, gr, bl := img.Data[:S*S], img.Data[S*S:2*S*S], img.Data[2*S*S:]
+
+	// Background: low-frequency savanna texture, 0.06·sin(x) · cos(y)
+	// from a per-x table, in that evaluation order.
 	bgPhase := g.rng.Float64() * 2 * math.Pi
 	bgTone := float32(0.35 + 0.2*g.rng.Float64())
+	var sinX [S]float64
+	for x := range sinX {
+		sinX[x] = 0.06 * math.Sin(float64(x)*0.4+bgPhase)
+	}
 	for y := 0; y < S; y++ {
+		cosY := math.Cos(float64(y) * 0.3)
 		for x := 0; x < S; x++ {
-			tex := float32(0.06 * math.Sin(float64(x)*0.4+bgPhase) * math.Cos(float64(y)*0.3))
-			img.Set(bgTone+tex+0.05, 0, y, x)
-			img.Set(bgTone+tex, 1, y, x)
-			img.Set(bgTone*0.6+tex, 2, y, x)
+			tex := float32(sinX[x] * cosY)
+			r[y*S+x] = bgTone + tex + 0.05
+			gr[y*S+x] = bgTone + tex
+			bl[y*S+x] = bgTone*0.6 + tex
 		}
 	}
 
@@ -188,6 +197,10 @@ func (g *Generator) render(label int, cond Condition, severity float64) Sample {
 	cosA, sinA := math.Cos(angle), math.Sin(angle)
 	pcx, pcy := cx*S, cy*S
 	stripePhase := g.rng.Float64() * 2 * math.Pi
+	// head: disc at the rim along headAng (in body frame)
+	hx := rx * 0.9 * math.Cos(sig.headAng)
+	hy := ry * 0.9 * math.Sin(sig.headAng)
+	hr := ry * 0.55
 	for y := 0; y < S; y++ {
 		for x := 0; x < S; x++ {
 			dx := float64(x) - pcx
@@ -196,10 +209,6 @@ func (g *Generator) render(label int, cond Condition, severity float64) Sample {
 			u := dx*cosA + dy*sinA
 			v := -dx*sinA + dy*cosA
 			inBody := (u*u)/(rx*rx)+(v*v)/(ry*ry) <= 1
-			// head: disc at the rim along headAng (in body frame)
-			hx := rx * 0.9 * math.Cos(sig.headAng)
-			hy := ry * 0.9 * math.Sin(sig.headAng)
-			hr := ry * 0.55
 			inHead := (u-hx)*(u-hx)+(v-hy)*(v-hy) <= hr*hr
 			if !inBody && !inHead {
 				continue
@@ -220,9 +229,9 @@ func (g *Generator) render(label int, cond Condition, severity float64) Sample {
 			if inHead {
 				shade *= 1.15
 			}
-			img.Set(sig.hue[0]*shade, 0, y, x)
-			img.Set(sig.hue[1]*shade, 1, y, x)
-			img.Set(sig.hue[2]*shade, 2, y, x)
+			r[y*S+x] = sig.hue[0] * shade
+			gr[y*S+x] = sig.hue[1] * shade
+			bl[y*S+x] = sig.hue[2] * shade
 		}
 	}
 
@@ -240,9 +249,9 @@ func (g *Generator) render(label int, cond Condition, severity float64) Sample {
 				if vertical {
 					y, x = b, a
 				}
-				img.Set(0.2, 0, y, x)
-				img.Set(0.25, 1, y, x)
-				img.Set(0.15, 2, y, x)
+				r[y*S+x] = 0.2
+				gr[y*S+x] = 0.25
+				bl[y*S+x] = 0.15
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func TestTileExtraction(t *testing.T) {
 	// pixel value encodes its coordinates
 	for y := 0; y < S; y++ {
 		for x := 0; x < S; x++ {
-			img.Set(float32(y*S+x), 0, y, x)
+			img.Data[y*S+x] = float32(y*S + x)
 		}
 	}
 	dst := tensor.New(1, P, P)
@@ -84,7 +84,7 @@ func TestShufflePlacesTiles(t *testing.T) {
 		ty, tx := ti/3, ti%3
 		for y := 0; y < P; y++ {
 			for x := 0; x < P; x++ {
-				img.Set(float32(ti), 0, ty*P+y, tx*P+x)
+				img.Data[(ty*P+y)*S+tx*P+x] = float32(ti)
 			}
 		}
 	}

@@ -7,11 +7,13 @@ import (
 )
 
 // Conv2D is a 2-D convolution layer over batched [B, C, H, W] tensors,
-// implemented as im2col + matrix multiplication exactly as the paper's
-// Fig. 8 describes for the GPU path (Fm × Dm). Training forwards and
-// input gradients are parallelized across the batch dimension, weight
-// gradients are summed in sample order; inference batches images into
-// one GEMM per panel (forwardEval).
+// computed as the paper's Fig. 8 describes for the GPU path (Fm × Dm)
+// without ever writing the column matrix Dm: a tile of images is
+// zero-padded, and the GEMM packs Dm's panels straight from the padded
+// images through the geometry's offset tables (tensor.ConvOperand). One
+// GEMM per tile serves eval, training and the frozen prefix; weight
+// gradients are summed in sample order, and input gradients are
+// parallelized across the batch.
 type Conv2D struct {
 	name string
 	Geom tensor.Conv2DGeom
@@ -20,17 +22,21 @@ type Conv2D struct {
 	B *Param // [M]
 
 	// caches for backward: lastBat is the batch of the last training
-	// forward (0 after any other), cols its per-sample column matrices
-	// while W is trainable
-	cols    []*tensor.Tensor
+	// forward (0 after any other), pad its zero-padded input images,
+	// back to back, while W is trainable: the operand paramGrads packs
+	// Dmᵀ from
+	pad     []float32
 	inShape []int
 	lastBat int
 
-	// ws pools the per-chunk column scratch of a training forward that
-	// keeps no cols and of backward's dcols, so steady-state passes reuse
-	// the same storage. gW and gB are the one weight- and
-	// bias-gradient accumulator pair, summed in sample order and reused
-	// every step; dys holds a backward's per-sample views of dy.
+	// rowOff and colOff are the offset tables of the geometry and of a
+	// full tile (tileSize images); built on first use.
+	rowOff, colOff []int32
+
+	// ws pools backward's dcols, so steady-state passes reuse the same
+	// storage. gW and gB are the one weight- and bias-gradient
+	// accumulator pair, summed in sample order and reused every step;
+	// dys holds a backward's per-sample views of dy.
 	ws     tensor.Workspace
 	gW, gB *tensor.Tensor
 	dys    []*tensor.Tensor
@@ -60,152 +66,118 @@ func (l *Conv2D) Name() string { return l.name }
 func (l *Conv2D) Params() []*Param { return []*Param{l.W, l.B} }
 
 // Forward implements Layer. x is [B, N, H, W]; the result is [B, M, R, C].
-// A training forward keeps every image's column matrix for Backward
-// while W is trainable (paramGrads is their only reader); an eval
-// forward keeps nothing and runs forwardEval's batched panels. A frozen
-// conv below the lowest trainable layer trains through forwardFrozen,
-// so a frozen W reaches this method's training branch only in a frozen
-// conv above a trainable one, which no CONV-i lock (ConvPrefixes) makes:
-// its Backward still passes dx down, and that needs no cols.
+// A training forward keeps the batch's padded images for Backward while
+// W is trainable (paramGrads is their only reader); an eval forward
+// keeps nothing. A frozen conv below the lowest trainable layer trains
+// through forwardFrozen, so a frozen W reaches this method's training
+// branch only in a frozen conv above a trainable one, which no CONV-i
+// lock (ConvPrefixes) makes: its Backward still passes dx down, and
+// that needs no padded input.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out, fm := l.prepare(x)
 	if !train {
-		l.cols = l.cols[:0]
+		l.pad = l.pad[:0]
 		l.lastBat = 0
-		l.forwardEval(x, out, fm)
-		return out
+		return l.forward(x, false, false)
 	}
 	l.inShape = x.Shape()
 	l.lastBat = x.Dim(0)
 	if l.W.Frozen {
-		l.cols = nil
+		l.pad = nil
 	}
-	l.forwardTrain(x, out, fm, !l.W.Frozen)
-	return out
+	return l.forward(x, true, !l.W.Frozen)
 }
 
 // forwardFrozen is the training forward keeping no backward state.
 func (l *Conv2D) forwardFrozen(x *tensor.Tensor) *tensor.Tensor {
-	out, fm := l.prepare(x)
-	l.cols, l.inShape, l.lastBat = nil, nil, 0
+	l.pad, l.inShape, l.lastBat = nil, nil, 0
 	l.gW, l.gB, l.dys, l.dx = nil, nil, nil, nil
-	l.forwardTrain(x, out, fm, false)
-	return out
+	return l.forward(x, true, false)
 }
 
-// prepare checks x against the geometry and returns the output tensor
-// and the [M, N·K²] filter matrix.
-func (l *Conv2D) prepare(x *tensor.Tensor) (out, fm *tensor.Tensor) {
+// A forward multiplies tiles of images in one GEMM each: the t images'
+// padded inputs form the implicit [N·K², t·R·C] operand, Fm × operand
+// gives [M, t·R·C], and that product is scattered (plus the bias) into
+// the images' [M, R, C] outputs. A blocked GEMM's per-element k-order
+// does not depend on its column count, so a tile is bit-identical to its
+// images convolved one by one as long as the per-image problem is on the
+// blocked path too. Where it is not (tensor.SmallGemm), training and the
+// frozen prefix run one GEMM per image, so training arithmetic never
+// depends on the batch; eval tiles regardless.
+const (
+	// tileCols caps a tile's GEMM columns: a tile holds as many images
+	// as fit (always at least one).
+	tileCols = 512
+	// tileFloats is the fixed capacity of every pooled tile buffer: the
+	// product plus, when the layer keeps none, the padded images. A tile
+	// is also cut to fit it, so every layer reuses the same buffers.
+	tileFloats = tileCols * 256
+)
+
+// tileBufs pools the tile buffers of every Conv2D in the process: a chunk
+// of tiles holds one only for the length of its forward, so resident
+// scratch does not grow with the number of layers or networks.
+var tileBufs tensor.Workspace
+
+// tileSize is the number of images one forward GEMM multiplies.
+func (l *Conv2D) tileSize() int {
+	g := l.Geom
+	rc := g.ColCols()
+	return max(1, min(tileCols/rc, tileFloats/(g.PadSize()+g.OutChannels*rc)))
+}
+
+// forward computes conv(x) tile by tile. train selects training
+// arithmetic (one GEMM per image where that problem is small); with
+// keep the padded batch stays in l.pad for paramGrads. Tiles are spread
+// over the worker pool, each chunk of them through its own pooled
+// buffer; tiles share no state, so the result does not depend on how
+// they are spread.
+func (l *Conv2D) forward(x *tensor.Tensor, train, keep bool) *tensor.Tensor {
 	g := l.Geom
 	if x.Rank() != 4 || x.Dim(1) != g.InChannels || x.Dim(2) != g.InHeight || x.Dim(3) != g.InWidth {
 		panic(fmt.Sprintf("nn: conv %q input shape %v does not match geom %+v", l.name, x.Shape(), g))
 	}
-	out = tensor.New(x.Dim(0), g.OutChannels, g.OutHeight(), g.OutWidth())
-	return out, l.W.Value.Reshape(g.OutChannels, g.ColRows())
-}
-
-// forwardTrain computes out = conv(x) with one im2col and one GEMM per
-// image. With keep, every image's column matrix stays in l.cols;
-// otherwise each chunk of images reuses one pooled scratch matrix.
-func (l *Conv2D) forwardTrain(x, out, fm *tensor.Tensor, keep bool) {
-	g := l.Geom
 	batch := x.Dim(0)
-	if keep {
-		if cap(l.cols) < batch {
-			l.cols = make([]*tensor.Tensor, batch)
-		}
-		l.cols = l.cols[:batch]
-		for b := range l.cols {
-			if l.cols[b] == nil || l.cols[b].Dim(0) != g.ColRows() || l.cols[b].Dim(1) != g.ColCols() {
-				l.cols[b] = tensor.New(g.ColRows(), g.ColCols())
-			}
-		}
+	rc, m, ps := g.ColCols(), g.OutChannels, g.PadSize()
+	out := tensor.New(batch, m, g.OutHeight(), g.OutWidth())
+	fm := l.W.Value.Reshape(m, g.ColRows())
+	full := l.tileSize()
+	if l.rowOff == nil {
+		l.rowOff, l.colOff = g.Offsets(full)
 	}
-
-	outH, outW := g.OutHeight(), g.OutWidth()
-	perImage := g.InChannels * g.InHeight * g.InWidth
-	perOut := g.OutChannels * outH * outW
-	tensor.ParallelChunks(batch, func(_, b0, b1 int) {
-		var scratch *tensor.Tensor
-		if !keep {
-			scratch = l.ws.Get(g.ColRows(), g.ColCols())
-			defer l.ws.Put(scratch)
+	tile := min(batch, full)
+	if train && tensor.SmallGemm(m, rc, g.ColRows()) {
+		tile = 1
+	}
+	if keep {
+		if cap(l.pad) < batch*ps {
+			l.pad = make([]float32, batch*ps)
 		}
-		for b := b0; b < b1; b++ {
-			in := tensor.FromSlice(x.Data[b*perImage:(b+1)*perImage], g.InChannels, g.InHeight, g.InWidth)
-			cols := scratch
-			if keep {
-				cols = l.cols[b]
-			}
-			tensor.Im2Col(in, g, cols)
-			dst := tensor.FromSlice(out.Data[b*perOut:(b+1)*perOut], g.OutChannels, outH*outW)
-			tensor.MatMulInto(dst, fm, cols)
-			for m := 0; m < g.OutChannels; m++ {
-				bias := l.B.Value.Data[m]
-				if bias == 0 {
-					continue
-				}
-				row := dst.Data[m*outH*outW : (m+1)*outH*outW]
-				for i := range row {
-					row[i] += bias
-				}
-			}
-		}
-	})
-}
-
-// Eval-mode convolution runs one GEMM per tile of images instead of one
-// per image: t images are im2col'ed side by side into a
-// [N·K², t·R·C] panel, Fm × panel gives [M, t·R·C], and that product is
-// scattered (plus the bias) into the images' [M, R, C] outputs. A
-// blocked GEMM's per-element k-order does not depend on its column
-// count, so as long as the per-image problem is on the blocked path the
-// result is bit-identical to per-image convolution.
-const (
-	// evalPanelCols caps a panel's columns: a tile holds as many images
-	// as fit (always at least one).
-	evalPanelCols = 512
-	// evalPanelFloats is the fixed capacity of every pooled panel
-	// buffer — the column panel and the product together. A tile is
-	// also cut to fit it, so every layer reuses the same buffers.
-	evalPanelFloats = evalPanelCols * 256
-)
-
-// evalPanels pools the panel buffers of every Conv2D in the process: a
-// chunk of tiles holds one only for the length of its forward, so
-// resident scratch does not grow with the number of layers or networks.
-var evalPanels tensor.Workspace
-
-// forwardEval computes out = conv(x) tile by tile; fm is the [M, N·K²]
-// filter matrix. Tiles are spread over the worker pool, each chunk of
-// them through its own pooled panel. Tiles share no state, so the
-// result does not depend on how they are spread.
-func (l *Conv2D) forwardEval(x, out, fm *tensor.Tensor) {
-	g := l.Geom
-	batch := x.Dim(0)
-	rows, rc, m := g.ColRows(), g.ColCols(), g.OutChannels
+		l.pad = l.pad[:batch*ps]
+	}
 	perImage := g.InChannels * g.InHeight * g.InWidth
 	perOut := m * rc
-	tile := max(1, min(batch, evalPanelCols/rc, evalPanelFloats/((rows+m)*rc)))
 	tensor.ParallelChunks((batch+tile-1)/tile, func(_, t0, t1 int) {
-		bufp := evalPanels.GetSlice(max(evalPanelFloats, (rows+m)*rc))
-		defer evalPanels.PutSlice(bufp)
+		bufp := tileBufs.GetSlice(max(tileFloats, ps+perOut))
+		defer tileBufs.PutSlice(bufp)
 		buf := *bufp
 		for b0 := t0 * tile; b0 < min(t1*tile, batch); b0 += tile {
 			t := min(tile, batch-b0)
 			n := t * rc
-			panel := tensor.FromSlice(buf[:rows*n], rows, n)
+			pad := buf[m*n : m*n+t*ps]
+			if keep {
+				pad = l.pad[b0*ps : (b0+t)*ps]
+			}
 			for i := 0; i < t; i++ {
 				b := b0 + i
-				tensor.Im2ColPanel(x.Data[b*perImage:(b+1)*perImage], g, panel.Data, n, i*rc)
+				tensor.PadImage(pad[i*ps:(i+1)*ps], x.Data[b*perImage:(b+1)*perImage], g)
 			}
 			// A one-image tile is already in output layout: multiply
 			// straight into it.
 			prod := tensor.FromSlice(out.Data[b0*perOut:(b0+1)*perOut], m, rc)
 			if t > 1 {
-				prod = tensor.FromSlice(buf[rows*n:(rows+m)*n], m, n)
+				prod = tensor.FromSlice(buf[:m*n], m, n)
 			}
-			tensor.MatMulInto(prod, fm, panel)
+			tensor.MatMulConvInto(prod, fm, tensor.ConvOperand{Pad: pad, RowOff: l.rowOff, ColOff: l.colOff[:n]})
 			for i := 0; i < t; i++ {
 				dst := out.Data[(b0+i)*perOut : (b0+i+1)*perOut]
 				for j := 0; j < m; j++ {
@@ -222,6 +194,7 @@ func (l *Conv2D) forwardEval(x, out, fm *tensor.Tensor) {
 			}
 		}
 	})
+	return out
 }
 
 // Backward implements Layer. dy is [B, M, R, C]; returns [B, N, H, W].
@@ -282,10 +255,12 @@ func (l *Conv2D) paramGrads(dys []*tensor.Tensor) {
 	gw, gb := l.gW, l.gB
 	gw.Zero()
 	gb.Zero()
+	ps := g.PadSize()
 	for b, dyb := range dys {
-		// dW += dy · colsᵀ   ([M,RC] × [RC,NK²]), accumulated
-		// in place — no per-sample gradient tensor.
-		tensor.MatMulTransBInto(gw, dyb, l.cols[b], true)
+		// dW += dy · colsᵀ   ([M,RC] × [RC,NK²]), accumulated in
+		// place, with colsᵀ packed from the padded input.
+		cols := tensor.ConvOperand{Pad: l.pad[b*ps : (b+1)*ps], RowOff: l.rowOff, ColOff: l.colOff[:rc]}
+		tensor.MatMulConvTransBInto(gw, dyb, cols, true)
 		for m := 0; m < g.OutChannels; m++ {
 			var s float64
 			for _, v := range dyb.Data[m*rc : (m+1)*rc] {

@@ -26,12 +26,40 @@ var jigsawTrunkConvs = []tensor.Conv2DGeom{
 	{InChannels: 16, InHeight: 2, InWidth: 2, KernelSize: 3, Stride: 1, Padding: 1, OutChannels: 24},
 }
 
-// The eval-mode panel convolution multiplies tiles of images in one GEMM;
-// the training forward still runs one GEMM per image. On every TinyAlex
-// geometry the per-image GEMM is already on the blocked path (the test
-// checks that no small-path call happens), whose per-element k-order does
-// not depend on the column count — so the two must agree bit for bit, at
-// any batch size and wherever an image falls inside a panel.
+// perImageConv is the reference convolution: for every image a
+// written-out column matrix (tensor.Im2Col), one GEMM (tensor.MatMulInto)
+// and the bias added to each output row it is not zero on.
+func perImageConv(l *Conv2D, x *tensor.Tensor) *tensor.Tensor {
+	g := l.Geom
+	batch := x.Dim(0)
+	rc, perImage := g.ColCols(), g.InChannels*g.InHeight*g.InWidth
+	out := tensor.New(batch, g.OutChannels, g.OutHeight(), g.OutWidth())
+	fm := l.W.Value.Reshape(g.OutChannels, g.ColRows())
+	cols := tensor.New(g.ColRows(), rc)
+	for b := 0; b < batch; b++ {
+		in := tensor.FromSlice(x.Data[b*perImage:(b+1)*perImage], g.InChannels, g.InHeight, g.InWidth)
+		tensor.Im2Col(in, g, cols)
+		dst := tensor.FromSlice(out.Data[b*g.OutChannels*rc:(b+1)*g.OutChannels*rc], g.OutChannels, rc)
+		tensor.MatMulInto(dst, fm, cols)
+		for m, bias := range l.B.Value.Data {
+			if bias == 0 {
+				continue
+			}
+			for i := range dst.Data[m*rc : (m+1)*rc] {
+				dst.Data[m*rc+i] += bias
+			}
+		}
+	}
+	return out
+}
+
+// Every forward multiplies tiles of images in one GEMM through the
+// implicit column matrix. On every TinyAlex geometry the per-image GEMM
+// of the reference is on the blocked path (the test checks that no
+// small-path call happens), whose per-element k-order does not depend on
+// the column count — so eval and training forwards must equal one
+// Im2Col + MatMulInto per image bit for bit, at any batch size and
+// wherever an image falls inside a tile.
 func TestConvEvalPanelsMatchPerImageBitForBit(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tensor.EnableTelemetry(reg)
@@ -47,22 +75,51 @@ func TestConvEvalPanelsMatchPerImageBitForBit(t *testing.T) {
 			x := tensor.New(batch, g.InChannels, g.InHeight, g.InWidth)
 			x.FillNormal(r, 0, 1)
 			before := small.Value()
-			want := l.Forward(x, true) // one GEMM per image
+			want := perImageConv(l, x)
 			if small.Value() != before {
 				t.Fatalf("conv%d: per-image GEMM took the small path; bit-identity is not promised there", i+1)
 			}
-			got := l.Forward(x, false)
-			for j := range want.Data {
-				if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
-					t.Fatalf("conv%d batch %d: eval[%d] = %v, per-image %v", i+1, batch, j, got.Data[j], want.Data[j])
+			for _, train := range []bool{false, true} {
+				got := l.Forward(x, train)
+				for j := range want.Data {
+					if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+						t.Fatalf("conv%d batch %d train=%v: forward[%d] = %v, per-image %v", i+1, batch, train, j, got.Data[j], want.Data[j])
+					}
 				}
 			}
 		}
 	}
 }
 
+// Where the per-image problem is on the small path (the jigsaw trunk's
+// conv3 on 2×2 inputs), a training forward still runs one GEMM per
+// image, so it equals the per-image reference bit for bit; so do the
+// trunk's other convs, whose per-image problems are blocked.
+func TestConvTrainForwardPerImageOnSmallPath(t *testing.T) {
+	r := tensor.NewRNG(45)
+	sawSmall := false
+	for i, g := range jigsawTrunkConvs {
+		sawSmall = sawSmall || tensor.SmallGemm(g.OutChannels, g.ColCols(), g.ColRows())
+		l := NewConv2D("conv", g, r)
+		l.B.Value.FillNormal(r, 0, 0.1)
+		x := tensor.New(9, g.InChannels, g.InHeight, g.InWidth)
+		x.FillNormal(r, 0, 1)
+		want := perImageConv(l, x)
+		for name, got := range map[string]*tensor.Tensor{"train": l.Forward(x, true), "frozen": l.forwardFrozen(x)} {
+			for j := range want.Data {
+				if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+					t.Fatalf("trunk conv%d %s: forward[%d] = %v, per-image %v", i+1, name, j, got.Data[j], want.Data[j])
+				}
+			}
+		}
+	}
+	if !sawSmall {
+		t.Fatal("no trunk conv is on the small path; the test checks nothing")
+	}
+}
+
 // An eval forward keeps no backward state: ReLU's mask, MaxPool2D's
-// argmax and Conv2D's column matrices stay empty (and never grow past
+// argmax and Conv2D's padded input stay empty (and never grow past
 // what training allocated), so a Backward after it panics instead of
 // using a stale cache.
 func TestEvalForwardKeepsNoBackwardState(t *testing.T) {
@@ -87,8 +144,8 @@ func TestEvalForwardKeepsNoBackwardState(t *testing.T) {
 	if len(pool.argmax) != 0 || cap(pool.argmax) != argmaxCap {
 		t.Errorf("eval MaxPool2D left argmax len %d cap %d, want 0 and %d", len(pool.argmax), cap(pool.argmax), argmaxCap)
 	}
-	if len(conv.cols) != 0 {
-		t.Errorf("eval Conv2D kept %d column matrices", len(conv.cols))
+	if len(conv.pad) != 0 {
+		t.Errorf("eval Conv2D kept %d floats of padded input", len(conv.pad))
 	}
 
 	mustPanic := func(name string, f func()) {

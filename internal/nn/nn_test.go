@@ -399,7 +399,7 @@ func TestQuickTrainingDecreasesLoss(t *testing.T) {
 			c := i % 3
 			labels[i] = c
 			for j := 0; j < 4; j++ {
-				x.Set(float32(c)+0.1*float32(r.NormFloat64()), i, j)
+				x.Data[i*4+j] = float32(c) + 0.1*float32(r.NormFloat64())
 			}
 		}
 		opt := NewSGD(0.05, 0.9, 0)

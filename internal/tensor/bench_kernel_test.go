@@ -53,12 +53,12 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	a.FillNormal(r, 0, 1)
 	bb.FillNormal(r, 0, 1)
 	c := New(s, s)
-	MatMulTransBInto(c, a, bb, false)
+	matMulTransBInto(c, a, bb, false)
 	b.SetBytes(int64(2 * s * s * s))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTransBInto(c, a, bb, false)
+		matMulTransBInto(c, a, bb, false)
 	}
 }
 

@@ -17,6 +17,12 @@ func TestConv2DGeomOutputDims(t *testing.T) {
 	if g2.OutHeight() != 8 || g2.OutWidth() != 8 {
 		t.Fatalf("same-padding out dims = %dx%d, want 8x8", g2.OutHeight(), g2.OutWidth())
 	}
+	// A kernel wider than the padded input has no placement, at any
+	// stride (integer division alone would give 1 at stride 2).
+	g3 := Conv2DGeom{InChannels: 1, InHeight: 2, InWidth: 9, KernelSize: 3, Stride: 2, Padding: 0, OutChannels: 1}
+	if g3.OutHeight() != 0 || g3.OutWidth() != 4 {
+		t.Fatalf("kernel wider than the padded height: out dims = %dx%d, want 0x4", g3.OutHeight(), g3.OutWidth())
+	}
 }
 
 func TestIm2ColKnownSmall(t *testing.T) {
@@ -233,11 +239,12 @@ func naiveIm2Col(in *Tensor, g Conv2DGeom) []float32 {
 	return out
 }
 
-// Im2Col and its panel form match the naive definition bit for bit on
-// padding wider than a kernel overhang, kernels wider than the input,
-// padding wider than the output (1×1 input), H ≠ W and a 2×2 input, at
-// strides 1 and 2. The panel is pre-filled with a sentinel so a write
-// outside the image's columns shows.
+// Im2Col and the implicit operand of a tile match the naive definition
+// bit for bit on padding wider than a kernel overhang, kernels wider than
+// the input, padding wider than the output (1×1 input), H ≠ W and a 2×2
+// input, at strides 1 and 2. The operand's image sits third in a
+// four-image tile whose other images are filled with a sentinel, so an
+// offset that strays into a neighbour shows.
 func TestIm2ColMatchesNaive(t *testing.T) {
 	r := NewRNG(31)
 	type shape struct{ h, w int }
@@ -262,23 +269,17 @@ func TestIm2ColMatchesNaive(t *testing.T) {
 						}
 					}
 
-					// Third image of a four-image panel.
-					rc := g.ColCols()
-					ld, off := 4*rc, 2*rc
-					panel := make([]float32, g.ColRows()*ld)
-					for i := range panel {
-						panel[i] = 42
+					rc, ps := g.ColCols(), g.PadSize()
+					pad := make([]float32, 4*ps)
+					for i := range pad {
+						pad[i] = 42
 					}
-					Im2ColPanel(in.Data, g, panel, ld, off)
-					for row := 0; row < g.ColRows(); row++ {
-						for col := 0; col < ld; col++ {
-							got := panel[row*ld+col]
-							if col >= off && col < off+rc {
-								if w := want[row*rc+col-off]; got != w {
-									t.Fatalf("%+v: panel[%d,%d] = %v, want %v", g, row, col, got, w)
-								}
-							} else if got != 42 {
-								t.Fatalf("%+v: panel[%d,%d] outside the image's columns written", g, row, col)
+					PadImage(pad[2*ps:3*ps], in.Data, g)
+					row, col := g.Offsets(4)
+					for q := 0; q < g.ColRows(); q++ {
+						for c := 0; c < rc; c++ {
+							if got, w := pad[row[q]+col[2*rc+c]], want[q*rc+c]; got != w {
+								t.Fatalf("%+v: operand[%d,%d] = %v, want %v", g, q, 2*rc+c, got, w)
 							}
 						}
 					}

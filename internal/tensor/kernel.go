@@ -33,7 +33,10 @@ package tensor
 // a single-core host falls back to running the same units inline.
 //
 // Transposed operands are handled entirely in the packing step; the
-// micro-kernel is oblivious. All scratch comes from Workspace pools, so
+// micro-kernel is oblivious. So is a convolution's implicit column matrix
+// (ConvOperand): packBConv gathers B's panels from the padded images in
+// the same slots packB would copy them from a written-out Dm, so the
+// product is bit-identical. All scratch comes from Workspace pools, so
 // steady-state calls do not allocate.
 
 const (
@@ -72,14 +75,21 @@ type gemmJob struct {
 	// edge holds maxMicroElems floats of fringe scratch per macro-tile,
 	// so concurrent tiles never share it; valid only inside gemmOn.
 	edge []float32
+
+	// With bPad set, op(B) is a convolution's implicit column matrix
+	// (ConvOperand) and b is unused: op(B)[p, j] = bPad[bkOff[p] +
+	// bnOff[j]]. transB swaps which of the operand's tables is which.
+	bPad         []float32
+	bkOff, bnOff []int32
 }
 
-// packA and packB scratch. Two pools, because the two buffer sizes
+// packA and packB scratch. Separate pools, because the buffer sizes
 // differ and a single pool would churn between them.
 var (
-	packAPool Workspace
-	packBPool Workspace
-	edgePool  Workspace
+	packAPool    Workspace
+	packBPool    Workspace
+	edgePool     Workspace
+	smallRowPool Workspace // gemmSmallConv's gathered operand row
 )
 
 // newGemmJob derives the blocking geometry for one GEMM problem.
@@ -108,22 +118,45 @@ func newGemmJob(c, a, b []float32, transA, transB bool, m, n, k int, accumulate 
 // (k×m when transA), op(B) is k×n with leading dimension ldb (n×k when
 // transB), and C is m×n.
 func gemm(c, a, b []float32, transA, transB bool, m, n, k int, accumulate bool) {
+	job := newGemmJob(c, a, b, transA, transB, m, n, k, accumulate)
+	job.run()
+}
+
+// gemmConv is gemm with op(B) the implicit column matrix Dm of op (Dmᵀ
+// when transB) and A untransposed.
+func gemmConv(c, a []float32, op ConvOperand, transB bool, m, n, k int, accumulate bool) {
+	op.check()
+	job := newGemmJob(c, a, nil, false, transB, m, n, k, accumulate)
+	job.bPad, job.bkOff, job.bnOff = op.Pad, op.RowOff, op.ColOff
+	if transB {
+		job.bkOff, job.bnOff = op.ColOff, op.RowOff
+	}
+	job.run()
+}
+
+// SmallGemm reports whether an m×n×k product runs on the unblocked small
+// path (gemmSmall) instead of the packed, blocked one. The two paths sum
+// each element in different orders: a blocked product's bits do not
+// depend on n, but a problem that changes path changes bits.
+func SmallGemm(m, n, k int) bool {
+	return m < mr || n < nr || k < 16 || m*n*k <= smallGemmFlops
+}
+
+// run counts the job and executes it on the small or the blocked path.
+func (g *gemmJob) run() {
+	m, n, k := g.m, g.n, g.k
 	gemmFlopsEver.Add(2 * int64(m) * int64(n) * int64(k))
 	// Skinny or tiny problems: blocking buys nothing, run plain loops.
-	if m < mr || n < nr || k < 16 || m*n*k <= smallGemmFlops {
-		lda := k
-		if transA {
-			lda = m
-		}
-		ldb := n
-		if transB {
-			ldb = k
-		}
+	if SmallGemm(m, n, k) {
 		if s := kstats.Load(); s != nil {
 			s.gemmSmall.Add(1)
 			s.gemmFlops.Add(2 * int64(m) * int64(n) * int64(k))
 		}
-		gemmSmall(c, a, b, transA, transB, m, n, k, lda, ldb, accumulate)
+		if g.bPad != nil {
+			gemmSmallConv(g.c, g.a, g.bPad, g.bkOff, g.bnOff, g.transB, m, n, k, g.lda, g.accumulate)
+		} else {
+			gemmSmall(g.c, g.a, g.b, g.transA, g.transB, m, n, k, g.lda, g.ldb, g.accumulate)
+		}
 		return
 	}
 	if s := kstats.Load(); s != nil {
@@ -137,8 +170,7 @@ func gemm(c, a, b []float32, transA, transB bool, m, n, k int, accumulate bool) 
 		nPad := (n + nr - 1) / nr * nr
 		s.packBytes.Add(4 * int64(k) * int64(mPad+nPad))
 	}
-	job := newGemmJob(c, a, b, transA, transB, m, n, k, accumulate)
-	gemmOn(getPool(), &job)
+	gemmOn(getPool(), g)
 }
 
 // gemmOn executes a blocked GEMM job, using pool workers when the
@@ -208,6 +240,10 @@ func gemmPackUnit(g *gemmJob, u int) {
 	}
 	j0 := (u - g.tilesM) * tileN
 	nb := min(tileN, g.n-j0)
+	if g.bPad != nil {
+		packBConv(g.bbuf[(j0/nr)*g.kb*nr:], g.bPad, g.bkOff, g.bnOff, g.p0, g.kb, j0, nb)
+		return
+	}
 	packB(g.bbuf[(j0/nr)*g.kb*nr:], g.b, g.ldb, g.transB, g.p0, g.kb, j0, nb)
 }
 
@@ -334,6 +370,45 @@ func packB(dst, b []float32, ldb int, transB bool, p0, kb, j0, nb int) {
 	}
 }
 
+// packBConv is packB for an implicit conv operand: it gathers
+// dst[(jp·kb+p)·nr+jr] = op(B)[p0+p, j0+jp·nr+jr] = pad[kOff[p0+p] +
+// nOff[j0+jp·nr+jr]], zero-padding columns past nb, so every panel slot
+// holds what packB would copy there from the written-out matrix. A full
+// 8-wide panel keeps its column offsets in registers; checking once that
+// they ascend lets the compiler drop all but one bounds check per row.
+func packBConv(dst, pad []float32, kOff, nOff []int32, p0, kb, j0, nb int) {
+	nPanels := (nb + nr - 1) / nr
+	for jp := 0; jp < nPanels; jp++ {
+		d := dst[jp*kb*nr : (jp+1)*kb*nr]
+		jj := j0 + jp*nr
+		w := min(nb-jp*nr, nr)
+		cols := nOff[jj : jj+w]
+		if w == 8 && nr == 8 {
+			o0, o1, o2, o3 := int(cols[0]), int(cols[1]), int(cols[2]), int(cols[3])
+			o4, o5, o6, o7 := int(cols[4]), int(cols[5]), int(cols[6]), int(cols[7])
+			if o0 < 0 || o0 > o1 || o1 > o2 || o2 > o3 || o3 > o4 || o4 > o5 || o5 > o6 || o6 > o7 {
+				panic("tensor: conv operand offsets do not ascend")
+			}
+			for p, ko := range kOff[p0 : p0+kb] {
+				src := pad[ko:]
+				_ = src[o7]
+				dp := (*[8]float32)(d[p*8:])
+				dp[0], dp[1], dp[2], dp[3] = src[o0], src[o1], src[o2], src[o3]
+				dp[4], dp[5], dp[6], dp[7] = src[o4], src[o5], src[o6], src[o7]
+			}
+			continue
+		}
+		for p, ko := range kOff[p0 : p0+kb] {
+			src := pad[ko:]
+			dp := d[p*nr : (p+1)*nr]
+			for jr, o := range cols {
+				dp[jr] = src[o]
+			}
+			clear(dp[w:])
+		}
+	}
+}
+
 // microKernelEdge handles partial tiles at the right/bottom fringe: the
 // panels are zero-padded, so the full product lands in the tile's
 // scratch and only the valid mrem×nrem corner is added into C. The
@@ -417,6 +492,59 @@ func gemmSmall(c, a, b []float32, transA, transB bool, m, n, k, lda, ldb int, ac
 					ci[j] += av * b[j*ldb+p]
 				}
 			}
+		}
+	}
+}
+
+// gemmSmallConv is gemmSmall for an untransposed A and an implicit conv
+// operand op(B)[p, j] = pad[kOff[p] + nOff[j]]. It gathers each row of
+// op(B) (each row of the stored n×k matrix when transB) once into
+// scratch and runs gemmSmall's inner loop over it for every row of C.
+// Every element of C still sums gemmSmall's products in gemmSmall's
+// order (ascending p, into C directly without transB and through a
+// zeroed partial sum with it), so the two agree bit for bit.
+func gemmSmallConv(c, a, pad []float32, kOff, nOff []int32, transB bool, m, n, k, lda int, accumulate bool) {
+	if !accumulate {
+		cc := c[:m*n]
+		for i := range cc {
+			cc[i] = 0
+		}
+	}
+	kOff, nOff = kOff[:k], nOff[:n]
+	if !transB {
+		rowp := smallRowPool.GetSlice(n)
+		defer smallRowPool.PutSlice(rowp)
+		bp := *rowp
+		for p, ko := range kOff {
+			src := pad[ko:]
+			for j, o := range nOff {
+				bp[j] = src[o]
+			}
+			for i := 0; i < m; i++ {
+				av := a[i*lda+p]
+				ci := c[i*n : (i+1)*n]
+				for j, bv := range bp {
+					ci[j] += av * bv
+				}
+			}
+		}
+		return
+	}
+	rowp := smallRowPool.GetSlice(k)
+	defer smallRowPool.PutSlice(rowp)
+	bj := *rowp
+	for j, o := range nOff {
+		src := pad[o:]
+		for p, ko := range kOff {
+			bj[p] = src[ko]
+		}
+		for i := 0; i < m; i++ {
+			ai := a[i*lda : i*lda+k]
+			var s float32
+			for p, av := range ai {
+				s += av * bj[p]
+			}
+			c[i*n+j] += s
 		}
 	}
 }

@@ -20,7 +20,7 @@ func naiveMatMulTransA(a, b *Tensor) *Tensor {
 			for p := 0; p < k; p++ {
 				s += float64(a.At(p, i)) * float64(b.At(p, j))
 			}
-			c.Set(float32(s), i, j)
+			c.set(float32(s), i, j)
 		}
 	}
 	return c
@@ -37,7 +37,7 @@ func naiveMatMulTransB(a, b *Tensor) *Tensor {
 			for p := 0; p < k; p++ {
 				s += float64(a.At(i, p)) * float64(b.At(j, p))
 			}
-			c.Set(float32(s), i, j)
+			c.set(float32(s), i, j)
 		}
 	}
 	return c
@@ -127,9 +127,9 @@ func TestMatMulIntoAccumulateVariants(t *testing.T) {
 		wantB := seed.Clone()
 		wantB.Add(naiveMatMulTransB(a, bt))
 		gotB := seed.Clone()
-		MatMulTransBInto(gotB, a, bt, true)
+		matMulTransBInto(gotB, a, bt, true)
 		if !closeEnough(gotB, wantB, 2e-3) {
-			t.Fatalf("MatMulTransBInto accumulate mismatch at m=%d k=%d n=%d", m, k, n)
+			t.Fatalf("matMulTransBInto accumulate mismatch at m=%d k=%d n=%d", m, k, n)
 		}
 
 		// accumulate=false must overwrite, not add
@@ -139,9 +139,9 @@ func TestMatMulIntoAccumulateVariants(t *testing.T) {
 			t.Fatalf("MatMulTransAInto overwrite mismatch at m=%d k=%d n=%d", m, k, n)
 		}
 		gotB2 := seed.Clone()
-		MatMulTransBInto(gotB2, a, bt, false)
+		matMulTransBInto(gotB2, a, bt, false)
 		if !closeEnough(gotB2, naiveMatMulTransB(a, bt), 2e-3) {
-			t.Fatalf("MatMulTransBInto overwrite mismatch at m=%d k=%d n=%d", m, k, n)
+			t.Fatalf("matMulTransBInto overwrite mismatch at m=%d k=%d n=%d", m, k, n)
 		}
 	}
 }
@@ -195,7 +195,7 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	b.FillNormal(r, 0, 1)
 	MatMulInto(c, a, b) // warm pools
 	MatMulTransAInto(c, a, b, true)
-	MatMulTransBInto(c, a, b, true)
+	matMulTransBInto(c, a, b, true)
 
 	cases := []struct {
 		name string
@@ -203,14 +203,31 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	}{
 		{"MatMulInto", func() { MatMulInto(c, a, b) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(c, a, b, true) }},
-		{"MatMulTransBInto", func() { MatMulTransBInto(c, a, b, true) }},
+		{"matMulTransBInto", func() { matMulTransBInto(c, a, b, true) }},
 	}
 	g := Conv2DGeom{InChannels: 4, InHeight: 12, InWidth: 12, KernelSize: 3, Stride: 1, Padding: 1, OutChannels: 8}
 	in := New(g.InChannels, g.InHeight, g.InWidth)
 	in.FillNormal(r, 0, 1)
 	cols := New(g.ColRows(), g.ColCols())
 	img := New(g.InChannels, g.InHeight, g.InWidth)
+	pad := make([]float32, g.PadSize())
+	PadImage(pad, in.Data, g)
+	row, col := g.Offsets(1)
+	op := ConvOperand{Pad: pad, RowOff: row, ColOff: col}
+	fm := New(g.OutChannels, g.ColRows())
+	out := New(g.OutChannels, g.ColCols())
+	dw := New(g.OutChannels, g.ColRows())
+	MatMulConvInto(out, fm, op) // warm pools
+	MatMulConvTransBInto(dw, out, op, true)
 	cases = append(cases,
+		struct {
+			name string
+			f    func()
+		}{"MatMulConvInto", func() { MatMulConvInto(out, fm, op) }},
+		struct {
+			name string
+			f    func()
+		}{"MatMulConvTransBInto", func() { MatMulConvTransBInto(dw, out, op, true) }},
 		struct {
 			name string
 			f    func()

@@ -43,15 +43,29 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatMulTransBInto computes C = A × Bᵀ into an existing m×n tensor C,
-// where A is m×k and B is n×k. With accumulate it computes C += A × Bᵀ,
-// the allocation-free form of the convolution weight-gradient update
-// dW += dy·colsᵀ.
-func MatMulTransBInto(c, a, b *Tensor, accumulate bool) {
+// MatMulConvInto computes C = A × Dm into an existing m×n tensor C,
+// where A is m×k and Dm is the k×n column matrix b holds implicitly
+// (k = len(b.RowOff), n = len(b.ColOff)). It is the convolution forward
+// of a tile of images, bit-identical to Im2Col followed by MatMulInto.
+func MatMulConvInto(c, a *Tensor, b ConvOperand) {
 	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	if b.shape[1] != k || c.shape[0] != m || c.shape[1] != n {
-		panic("tensor: MatMulTransBInto shape mismatch")
+	n := len(b.ColOff)
+	if len(b.RowOff) != k || c.shape[0] != m || c.shape[1] != n {
+		panic("tensor: MatMulConvInto shape mismatch")
 	}
-	gemm(c.Data, a.Data, b.Data, false, true, m, n, k, accumulate)
+	gemmConv(c.Data, a.Data, b, false, m, n, k, false)
+}
+
+// MatMulConvTransBInto computes C = A × Dmᵀ into an existing m×n tensor
+// C, where A is m×k and Dm is the n×k column matrix b holds implicitly
+// (n = len(b.RowOff), k = len(b.ColOff)). With accumulate it computes
+// C += A × Dmᵀ, the convolution weight-gradient update dW += dy·colsᵀ,
+// bit-identical to the same GEMM on Im2Col's written-out matrix.
+func MatMulConvTransBInto(c, a *Tensor, b ConvOperand, accumulate bool) {
+	m, k := a.shape[0], a.shape[1]
+	n := len(b.RowOff)
+	if len(b.ColOff) != k || c.shape[0] != m || c.shape[1] != n {
+		panic("tensor: MatMulConvTransBInto shape mismatch")
+	}
+	gemmConv(c.Data, a.Data, b, true, m, n, k, accumulate)
 }

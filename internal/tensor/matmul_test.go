@@ -18,10 +18,16 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 			for p := 0; p < k; p++ {
 				s += float64(a.At(i, p)) * float64(b.At(p, j))
 			}
-			c.Set(float32(s), i, j)
+			c.set(float32(s), i, j)
 		}
 	}
 	return c
+}
+
+// matMulTransBInto computes C = A × Bᵀ (C += with accumulate) into an
+// m×n C, where A is m×k and B is n×k.
+func matMulTransBInto(c, a, b *Tensor, accumulate bool) {
+	gemm(c.Data, a.Data, b.Data, false, true, a.shape[0], b.shape[0], a.shape[1], accumulate)
 }
 
 // matMul returns A × B in a fresh tensor.
@@ -64,7 +70,7 @@ func TestMatMulIdentity(t *testing.T) {
 	a.FillNormal(r, 0, 1)
 	id := New(5, 5)
 	for i := 0; i < 5; i++ {
-		id.Set(1, i, i)
+		id.set(1, i, i)
 	}
 	tensorsClose(t, matMul(a, id), a, 1e-6)
 	tensorsClose(t, matMul(id, a), a, 1e-6)
@@ -104,7 +110,7 @@ func TestMatMulTransA(t *testing.T) {
 	at := New(7, 10)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 7; j++ {
-			at.Set(a.At(i, j), j, i)
+			at.set(a.At(i, j), j, i)
 		}
 	}
 	tensorsClose(t, matMulTransA(a, b), naiveMatMul(at, b), 1e-4)
@@ -120,7 +126,7 @@ func TestMatMulTransB(t *testing.T) {
 	bt := New(9, 4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 9; j++ {
-			bt.Set(b.At(i, j), j, i)
+			bt.set(b.At(i, j), j, i)
 		}
 	}
 	tensorsClose(t, MatMulTransB(a, b), naiveMatMul(a, bt), 1e-4)

@@ -31,7 +31,7 @@ func TestWorkspaceGetShapesAndReuse(t *testing.T) {
 	if d.Size() != 36 {
 		t.Fatalf("Get(6,6) size = %d", d.Size())
 	}
-	d.Set(1, 5, 5)
+	d.Data[35] = 1
 	ws.Put(d)
 }
 

@@ -24,7 +24,7 @@ type kernelStats struct {
 	tilesInl  *telemetry.Counter // pool_tiles_inline_total: tiles run on the caller
 	chunksPar *telemetry.Counter // pool_chunks_parallel_total
 	chunksInl *telemetry.Counter // pool_chunks_inline_total: busy/small fallback
-	im2colOps *telemetry.Counter // im2col_calls_total
+	im2colOps *telemetry.Counter // im2col_calls_total: padded conv input images (PadImage)
 }
 
 var kstats atomic.Pointer[kernelStats]

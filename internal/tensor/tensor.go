@@ -80,9 +80,6 @@ func (t *Tensor) Size() int { return len(t.Data) }
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
 
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))

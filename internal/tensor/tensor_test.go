@@ -37,15 +37,15 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	}
 }
 
-func TestAtSetRoundTrip(t *testing.T) {
+// set stores v at the given multi-index.
+func (t *Tensor) set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
+
+func TestAtReadsRowMajor(t *testing.T) {
 	x := New(3, 4)
-	x.Set(7.5, 2, 1)
-	if got := x.At(2, 1); got != 7.5 {
-		t.Fatalf("At(2,1) = %v, want 7.5", got)
-	}
 	// Row-major layout: offset of (2,1) in a 3x4 tensor is 2*4+1 = 9.
-	if x.Data[9] != 7.5 {
-		t.Fatalf("row-major offset wrong: Data[9] = %v", x.Data[9])
+	x.Data[9] = 7.5
+	if got := x.At(2, 1); got != 7.5 {
+		t.Fatalf("At(2,1) = %v, want 7.5 (Data[9])", got)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestCloneIsDeep(t *testing.T) {
 func TestReshapeSharesStorage(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	y := x.Reshape(3, 2)
-	y.Set(99, 0, 1)
+	y.set(99, 0, 1)
 	if x.At(0, 1) != 99 {
 		t.Fatal("Reshape did not share storage")
 	}

@@ -82,7 +82,7 @@ func (e FCNEngine) tileCycle(x, weights, out *tensor.Tensor, stats *FCNStats, b,
 			if nn >= n {
 				continue
 			}
-			out.Set(out.At(b, mm)+x.At(b, nn)*weights.At(mm, nn), b, mm)
+			out.Data[b*m+mm] += x.At(b, nn) * weights.At(mm, nn)
 			stats.MACs++
 		}
 	}

@@ -95,8 +95,8 @@ func (e WSSEngine) RunConvGroup(input, weights *tensor.Tensor, g tensor.Conv2DGe
 										if iy < 0 || iy >= g.InHeight || ix < 0 || ix >= g.InWidth {
 											continue
 										}
-										acc := out.At(m, oy, ox) + w*input.At(n, iy, ix)
-										out.Set(acc, m, oy, ox)
+										o := &out.Data[(m*outH+oy)*outW+ox]
+										*o += w * input.At(n, iy, ix)
 										stats.MACs++
 									}
 								}
@@ -151,8 +151,8 @@ func (e NWSEngine) RunConv(input, weights *tensor.Tensor, g tensor.Conv2DGeom) (
 									if n >= g.InChannels || !inBounds {
 										continue
 									}
-									acc := out.At(m, oy, ox) + weights.At(m, n, ky, kx)*input.At(n, iy, ix)
-									out.Set(acc, m, oy, ox)
+									o := &out.Data[(m*outH+oy)*outW+ox]
+									*o += weights.At(m, n, ky, kx) * input.At(n, iy, ix)
 									stats.MACs++
 								}
 							}
